@@ -40,7 +40,7 @@ def run(args=None) -> int:
         {int(round(n)) for n in np.geomspace(10, n_max, opts.points)}
     )
     regime = classify(analytic_moments(cfg.model), cfg.model)
-    law = lim.limit_for(regime)
+    law = lim.limit_for(regime, cfg.model)
     print(f"case {regime.case}, limit {lim.label(law)}, N={cfg.samples}")
 
     batch = run_batch(

@@ -3,10 +3,10 @@
 The object of study is R_n = Q_n + M_n R_{n-1} with i.i.d. driving pairs
 (Q, M) and R_0 = 0, in the regimes where R_n diverges (E ln|M| >= 0).
 The package classifies a (Q, M) model into its regime, simulates the
-recursion in overflow-free scaled arithmetic, applies the
-regime-specific renormalization, and checks the normalized samples
-against the predicted limit law with Kolmogorov-Smirnov distances
-calibrated by DKW bounds. Exact enumeration and moment-recursion
+recursion in overflow-free scaled arithmetic (one batched kernel,
+``perpsim.scaled``), applies the regime-specific renormalization, and
+checks the normalized samples against the predicted limit law with
+Kolmogorov-Smirnov distances calibrated by DKW bounds. Exact enumeration and moment-recursion
 oracles cover small discrete models.
 """
 
@@ -40,23 +40,18 @@ from .models import (
     analytic_moments,
     beta_squared,
     classify,
-    sample_pair,
     sign_gap,
     tail_quantile,
 )
-from .normalize import apply_normalization, normalize_samples
-from .scaled import ScaledReal, ZERO, add, from_log, from_real, log_abs, mul, signed_pow, to_real
+from .normalize import normalize_samples
 from .simulate import (
     BatchResult,
     ExactDistribution,
-    Trajectory,
-    TrajectoryPoint,
     enumerate_exact,
     exact_moments_recursion,
     reference_seed,
     run_batch,
     run_sum_form,
-    run_trajectory,
     trajectory_seed,
 )
 from .stats import Ecdf, Summary, dkw_bound, ks_one_sample, ks_two_sample, qq_points, summary

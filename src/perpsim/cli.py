@@ -141,7 +141,7 @@ def cmd_classify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
 
 def _verification_rows(cfg: RunConfig, regime: RegimeReport):
     """Shared simulate -> normalize -> compare loop for verify/sample."""
-    law = lim.limit_for(regime)
+    law = lim.limit_for(regime, cfg.model)
     track_w = regime.case.startswith("III")
     batch = run_batch(
         cfg.model,
@@ -273,7 +273,10 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     batch = run_batch(
         model, cfg.checkpoints, cfg.samples, cfg.seed, workers=cfg.workers
     )
-    bound = dkw_bound(cfg.samples, 0.01)
+    # one DKW band per checkpoint, Bonferroni-split so the whole run errs
+    # on correct code with probability at most 1%
+    delta = 0.01 / len(cfg.checkpoints)
+    bound = dkw_bound(cfg.samples, delta)
     check_moments = _is_unit_magnitude(model) and -1.0 + 1e-12 < analytic_moments(
         model
     ).mean_m < 1.0 - 1e-12
@@ -291,6 +294,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             "n": n,
             "deviation": dev,
             "dkw_bound": bound,
+            "delta": delta,
             "mc_mean": stats.mean,
             "mc_variance": stats.variance,
             "exact_mean": exact.mean(),
@@ -313,6 +317,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     report = {
         "command": "oracle",
         "dkw_bound": bound,
+        "delta": delta,
         "checkpoints": rows,
         "passed": passed,
     }

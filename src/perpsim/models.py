@@ -51,7 +51,6 @@ __all__ = [
     "Moments",
     "RegimeReport",
     "CASE_IDS",
-    "sample_pair",
     "analytic_moments",
     "classify",
     "tail_quantile",
@@ -367,20 +366,6 @@ class SignedUnit:
 PairModel = Union[DiscreteJoint, ScaledRademacher, LogNormalPair, SignedUnit]
 
 
-def sample_pair(model: PairModel, rng: np.random.Generator) -> tuple[float, float]:
-    """One (q, m) draw; consumes exactly two uniforms from ``rng``.
-
-    Heavy-tailed Q families can exceed native float range, in which case
-    the returned q is inf; the simulation engine never takes this path
-    (it keeps draws in scaled form).
-    """
-    u = rng.random(2) + 2.0**-54  # shift into the open interval (0, 1)
-    qv, mv = model.scaled_draws(u[:1], u[1:])
-    q = float(np.ldexp(qv.sign * qv.mantissa, np.minimum(qv.exponent, 1024))[0])
-    m = float(np.ldexp(mv.sign * mv.mantissa, np.minimum(mv.exponent, 1024))[0])
-    return q, m
-
-
 # ---------------------------------------------------------------------------
 # Moments
 # ---------------------------------------------------------------------------
@@ -514,11 +499,7 @@ class RegimeReport:
     note: str = ""
 
 
-def _limit_label(case: str, lam=None, p=None, beta2=None, alpha=None) -> str:
-    if case == "I-sym":
-        return f"BernoulliConvolution({_fmt(lam)})"
-    if case == "I-asym":
-        return f"SymmetrizedPerpetuity({_fmt(lam)}, {_fmt(p)})"
+def _limit_label(case: str, beta2=None, alpha=None) -> str:
     if case == "II-abs":
         return "LogNormalPositive"
     if case == "II-signed":
@@ -603,10 +584,12 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
                 p = math.fsum(pr for (_, m), pr in model.atoms if m > 0)
             lam = 1.0 / rho
             case = "I-sym" if abs(p - 0.5) <= _ATOL else "I-asym"
+            from .limits import case_one_law, label  # limits imports this module
+
             return RegimeReport(
                 case=case,
                 normalization=_NORMALIZATIONS[case],
-                limit=_limit_label(case, lam=lam, p=p),
+                limit=label(case_one_law(case, lam, p, model)),
                 mu=mu,
                 v=0.0,
                 rho=rho,

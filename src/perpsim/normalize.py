@@ -3,8 +3,8 @@
 Each regime carries its own map:
 
 * Case I    r / rho**(n-1), computed in scaled arithmetic (an exact
-  exponent shift when rho = 2, otherwise one multiply by a precomputed
-  scaled power),
+  exponent shift when rho = 2, otherwise one multiply by rho**-(n-1),
+  itself a squaring chain of ``vec_mul`` and one reciprocal),
 * Case II   sgn(r) |r|**(1/(v sqrt n)) / exp(mu sqrt n / v), with the
   sign kept only in the signed sub-case,
 * Case III  |r|**(1/(v sqrt n)) for the random-walk sub-cases and
@@ -25,20 +25,11 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentsError, NativeRangeError
+from .errors import InvalidArgumentsError, InvalidInputError, NativeRangeError
 from .models import RegimeReport
-from .scaled import (
-    ScaledReal,
-    ScaledVector,
-    from_real,
-    log_abs,
-    mul,
-    pow_int,
-    reciprocal,
-    vec_mul,
-)
+from .scaled import ScaledVector, vec_from_real, vec_mul
 
-__all__ = ["apply_normalization", "normalize_samples"]
+__all__ = ["normalize_samples"]
 
 _POWER_CASES = {
     "II-abs",
@@ -50,29 +41,6 @@ _POWER_CASES = {
 }
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _native(r: ScaledReal) -> float:
-    """Native value with graceful underflow; only overflow is an error.
-
-    Normalized samples are statistics, so a value smaller than the
-    tiniest double rounds to (signed) zero instead of raising the way
-    ``to_real`` does.
-    """
-    if r.sign == 0:
-        return 0.0
-    if r.exponent > 1023:
-        raise NativeRangeError(
-            f"normalized value with exponent {r.exponent} exceeds native range"
-        )
-    return math.ldexp(r.sign * r.mantissa, r.exponent)
-
-
 def _native_vec(v: ScaledVector) -> np.ndarray:
     nonzero = v.sign != 0
     if np.any(nonzero & (v.exponent > 1023)):
@@ -82,9 +50,22 @@ def _native_vec(v: ScaledVector) -> np.ndarray:
     return np.where(nonzero, out, 0.0)
 
 
-def _rho_power_factor(rho: float, n: int) -> ScaledReal:
-    """Scaled rho**-(n-1), one squaring chain (log2 n roundings)."""
-    return reciprocal(pow_int(from_real(rho), n - 1))
+def _rho_power_factor(rho: float, n: int) -> ScaledVector:
+    """rho**-(n-1) as a one-element vector: a squaring chain for
+    rho**(n-1) (log2 n roundings), then one rounding for 1 / mantissa."""
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
+    k = n - 1
+    power = vec_from_real(np.array([1.0]))
+    base = vec_from_real(np.array([rho]))
+    while k:
+        if k & 1:
+            power = vec_mul(power, base)
+        k >>= 1
+        if k:
+            base = vec_mul(base, base)
+    inv = vec_from_real(1.0 / power.mantissa)
+    return ScaledVector(inv.sign, inv.exponent - power.exponent, inv.mantissa)
 
 
 def _power_args(regime: RegimeReport, n: int, gamma_n: float | None):
@@ -100,42 +81,13 @@ def _power_args(regime: RegimeReport, n: int, gamma_n: float | None):
     return divisor, 0.0
 
 
-def apply_normalization(
-    regime: RegimeReport,
-    r: ScaledReal,
-    n: int,
-    gamma_n: float | None = None,
-) -> float:
-    """Normalize one sample of R_n for the given regime."""
-    case = regime.case
-    if case in ("I-sym", "I-asym"):
-        if r.sign == 0:
-            return 0.0
-        if regime.rho == 2.0:
-            return _native(ScaledReal(r.sign, r.exponent - (n - 1), r.mantissa))
-        return _native(mul(r, _rho_power_factor(regime.rho, n)))
-    if case == "IV":
-        return _native(r) / math.sqrt(n)
-    if case in _POWER_CASES:
-        if r.sign == 0:
-            return 0.0
-        if case.startswith("III") and r.sign < 0:
-            raise InvalidArgumentsError(
-                "Case III normalization requires positive samples"
-            )
-        divisor, shift = _power_args(regime, n, gamma_n)
-        mag = _exp_or_inf(log_abs(r) / divisor - shift)
-        return r.sign * mag if case == "II-signed" else mag
-    raise InvalidArgumentsError(f"no normalization for regime {case}")
-
-
 def normalize_samples(
     regime: RegimeReport,
     values: ScaledVector,
     n: int,
     gamma_n: float | None = None,
 ) -> np.ndarray:
-    """Vectorized apply_normalization over a batch (same formulas)."""
+    """Normalize a batch of samples of R_n for the given regime."""
     case = regime.case
     sign = values.sign
     if case in ("I-sym", "I-asym"):
@@ -146,13 +98,7 @@ def normalize_samples(
                 values.mantissa,
             )
             return _native_vec(shifted)
-        f = _rho_power_factor(regime.rho, n)
-        fv = ScaledVector(
-            np.full(sign.shape, f.sign, np.int8),
-            np.full(sign.shape, f.exponent, np.int64),
-            np.full(sign.shape, f.mantissa),
-        )
-        return _native_vec(vec_mul(values, fv))
+        return _native_vec(vec_mul(values, _rho_power_factor(regime.rho, n)))
     if case == "IV":
         return _native_vec(values) / math.sqrt(n)
     if case in _POWER_CASES:

@@ -1,251 +1,55 @@
-"""Overflow-free signed arithmetic on sign * mantissa * 2**exponent triples.
+"""Overflow-free signed arithmetic on batches of sign * mantissa * 2**exponent.
 
 In the expanding regimes the recursion R_n = Q_n + M_n R_{n-1} grows like
 e^{mu*n}, which leaves native double range after a few hundred steps. A
-ScaledReal keeps the value as an exact triple (sign, base-2 exponent,
-mantissa in [1, 2)) with an unbounded integer exponent, so iteration is
-safe out to n = 10**6 and far beyond. Design rules:
+``ScaledVector`` keeps a batch of values as exact triples (int8 sign,
+int64 base-2 exponent, float mantissa in [1, 2); zero is (0, 0, 1.0)),
+so iteration is safe out to n = 10**6 and far beyond. Design rules:
 
-* ``from_real`` is exact (frexp decomposition), so feeding native draws
-  into the recursion loses nothing.
-* ``mul`` rounds the mantissa product once; ``add`` aligns to the larger
-  exponent and rounds once. When the exponent gap exceeds the 53-bit
-  mantissa precision the smaller operand is absorbed unchanged
-  ("dominated addition"), which is what exact arithmetic would round to
-  anyway up to the final half-ulp; tests may rely on that rule.
+* ``vec_from_real`` is exact (frexp decomposition), so feeding native
+  draws into the recursion loses nothing.
+* ``vec_mul`` rounds the mantissa product once, so it returns the
+  correctly rounded product. ``vec_add`` aligns to the larger exponent
+  and rounds once. When the exponent gap exceeds the 53-bit mantissa
+  precision the smaller operand is absorbed unchanged ("dominated
+  addition"), which is within half an ulp of the exact sum.
 * No extended-precision mantissa: per-step relative error ~1e-16 is far
   below Monte Carlo noise in every supported experiment.
 
-The ``vec_*`` functions apply the identical operations to numpy
-structure-of-arrays batches (``ScaledVector``). They are bit-for-bit
-equivalent to the scalar functions, which the test suite checks; the
-simulation engine relies on that equivalence to mix scalar and batched
-code paths freely. Values are immutable and carry no shared state, so
-they can move between worker processes without restriction.
+The tests check these functions against exact ``fractions.Fraction`` and
+mpmath arithmetic. Values carry no shared state, so they can move between
+worker processes without restriction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ExponentOverflowError,
-    InvalidInputError,
-    NativeRangeError,
-)
+from .errors import DomainError, InvalidInputError, NativeRangeError
 
 __all__ = [
-    "ScaledReal",
     "ScaledVector",
-    "ZERO",
     "EXPONENT_LIMIT",
     "PRECISION_BITS",
-    "from_real",
-    "from_log",
-    "mul",
-    "add",
-    "signed_pow",
-    "log_abs",
-    "to_real",
-    "pow_int",
-    "reciprocal",
     "vec_from_real",
     "vec_from_log",
     "vec_mul",
     "vec_add",
     "vec_log_abs",
     "vec_to_real",
-    "vec_check_exponents",
 ]
 
-# Exponent gap beyond which add() absorbs the smaller operand.
+# Exponent gap beyond which vec_add absorbs the smaller operand.
 PRECISION_BITS = 53
 
-# Supported exponent range is +/- 2**62; beyond that we refuse to continue.
+# Supported exponent range is +/- 2**62; beyond that the engine refuses to continue.
 EXPONENT_LIMIT = 1 << 62
 
 _LN2 = math.log(2.0)
 _LOG2E = 1.0 / _LN2
-
-
-@dataclass(frozen=True, slots=True)
-class ScaledReal:
-    """Value sign * mantissa * 2**exponent, zero iff sign == 0.
-
-    Invariants: sign in {-1, 0, +1}; mantissa in [1, 2) when sign != 0;
-    the zero element is canonically (0, 0, 1.0).
-    """
-
-    sign: int
-    exponent: int
-    mantissa: float
-
-    def __post_init__(self) -> None:
-        if self.sign == 0:
-            if self.exponent != 0 or self.mantissa != 1.0:
-                raise InvalidInputError("zero must be the canonical (0, 0, 1.0)")
-        elif self.sign not in (-1, 1):
-            raise InvalidInputError(f"sign must be -1, 0 or +1, got {self.sign}")
-        elif not (1.0 <= self.mantissa < 2.0):
-            raise InvalidInputError(f"mantissa {self.mantissa} outside [1, 2)")
-
-
-ZERO = ScaledReal(0, 0, 1.0)
-
-
-def _check_exponent(e: int) -> int:
-    if abs(e) > EXPONENT_LIMIT:
-        raise ExponentOverflowError(
-            f"exponent {e} beyond +/-2**62; configuration far outside supported n"
-        )
-    return e
-
-
-def from_real(x: float) -> ScaledReal:
-    """Exact decomposition of a finite native float."""
-    if not math.isfinite(x):
-        raise InvalidInputError(f"cannot represent non-finite value {x!r}")
-    if x == 0.0:
-        return ZERO
-    m, e = math.frexp(abs(x))  # abs(x) = m * 2**e, m in [0.5, 1)
-    return ScaledReal(1 if x > 0 else -1, e - 1, 2.0 * m)
-
-
-def from_log(log_value: float, sign: int = 1) -> ScaledReal:
-    """Build sign * exp(log_value) without evaluating the exponential.
-
-    Lets callers construct values such as e**400 whose native form would
-    overflow. Relative accuracy degrades gracefully to ~|log_value|*1e-16.
-    """
-    if sign == 0:
-        return ZERO
-    if sign not in (-1, 1):
-        raise InvalidInputError(f"sign must be -1, 0 or +1, got {sign}")
-    if not math.isfinite(log_value):
-        raise InvalidInputError("log_value must be finite")
-    t = log_value * _LOG2E
-    e = math.floor(t)
-    mant = float(np.exp2(t - e))
-    if mant >= 2.0:  # guards the frac ~ 1.0 rounding corner
-        mant *= 0.5
-        e += 1
-    return ScaledReal(sign, _check_exponent(int(e)), mant)
-
-
-def mul(a: ScaledReal, b: ScaledReal) -> ScaledReal:
-    """Product; exact sign algebra, one mantissa rounding."""
-    s = a.sign * b.sign
-    if s == 0:
-        return ZERO
-    m = a.mantissa * b.mantissa  # in [1, 4)
-    e = a.exponent + b.exponent
-    if m >= 2.0:
-        m *= 0.5
-        e += 1
-    return ScaledReal(s, _check_exponent(e), m)
-
-
-def add(a: ScaledReal, b: ScaledReal) -> ScaledReal:
-    """Sum; aligns to the larger exponent, absorbs past 53 bits of gap."""
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    if (b.exponent > a.exponent) or (
-        b.exponent == a.exponent and b.mantissa > a.mantissa
-    ):
-        a, b = b, a
-    gap = a.exponent - b.exponent
-    if gap > PRECISION_BITS:
-        return a  # dominated addition
-    total = a.sign * a.mantissa + b.sign * math.ldexp(b.mantissa, -gap)
-    if total == 0.0:
-        return ZERO
-    frac, ex = math.frexp(abs(total))
-    return ScaledReal(
-        1 if total > 0 else -1,
-        _check_exponent(a.exponent + ex - 1),
-        2.0 * frac,
-    )
-
-
-def log_abs(a: ScaledReal) -> float:
-    """Natural log of |value| as a native float."""
-    if a.sign == 0:
-        raise DomainError("log_abs of the zero element")
-    return a.exponent * _LN2 + math.log(a.mantissa)
-
-
-def signed_pow(a: ScaledReal, t: float) -> float:
-    """sgn(a) * |a|**t as a native float.
-
-    The caller picks t small enough (e.g. 1/(v*sqrt(n))) that the result
-    is native-representable. t == 1 short-circuits to to_real so the
-    identity holds exactly; the general path is accurate to about
-    (1 + |t * ln|a||) * 1e-16 relative.
-    """
-    if not math.isfinite(t):
-        raise InvalidInputError("exponent t must be finite")
-    if a.sign == 0:
-        return 0.0
-    if t == 1.0:
-        return to_real(a)
-    try:
-        mag = math.exp(t * log_abs(a))
-    except OverflowError:
-        raise NativeRangeError(
-            f"|value|**{t} exceeds native float range"
-        ) from None
-    if math.isinf(mag):
-        raise NativeRangeError(f"|value|**{t} exceeds native float range")
-    return a.sign * mag
-
-
-def to_real(a: ScaledReal) -> float:
-    """Exact native value; raises when outside normal double range."""
-    if a.sign == 0:
-        return 0.0
-    if not (-1022 <= a.exponent <= 1023):
-        raise NativeRangeError(
-            f"exponent {a.exponent} not native-representable; "
-            "use log_abs or signed_pow instead"
-        )
-    return math.ldexp(a.sign * a.mantissa, a.exponent)
-
-
-def pow_int(a: ScaledReal, k: int) -> ScaledReal:
-    """a**k for integer k >= 0 by squaring (log2(k) mantissa roundings)."""
-    if k < 0:
-        raise InvalidInputError("pow_int requires k >= 0")
-    result = ScaledReal(1, 0, 1.0)
-    base = a
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return result
-
-
-def reciprocal(a: ScaledReal) -> ScaledReal:
-    """1 / a, one mantissa rounding."""
-    if a.sign == 0:
-        raise DomainError("reciprocal of the zero element")
-    if a.mantissa == 1.0:
-        return ScaledReal(a.sign, _check_exponent(-a.exponent), 1.0)
-    # 1/m in (0.5, 1) for m in (1, 2); renormalize as (2/m) * 2**(-e-1)
-    return ScaledReal(a.sign, _check_exponent(-a.exponent - 1), 2.0 / a.mantissa)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized structure-of-arrays mirror of the scalar operations.
-# ---------------------------------------------------------------------------
 
 
 class ScaledVector(NamedTuple):
@@ -257,15 +61,6 @@ class ScaledVector(NamedTuple):
 
     def __len__(self) -> int:
         return self.sign.shape[0]
-
-    def take(self, i: int) -> ScaledReal:
-        s = int(self.sign[i])
-        if s == 0:
-            return ZERO
-        return ScaledReal(s, int(self.exponent[i]), float(self.mantissa[i]))
-
-    def to_list(self) -> list[ScaledReal]:
-        return [self.take(i) for i in range(len(self))]
 
 
 def vec_from_real(x: np.ndarray) -> ScaledVector:
@@ -339,7 +134,7 @@ def vec_add(a: ScaledVector, b: ScaledVector) -> ScaledVector:
 
 def vec_log_abs(a: ScaledVector) -> np.ndarray:
     if np.any(a.sign == 0):
-        raise DomainError("log_abs of a zero element")
+        raise DomainError("logarithm of a zero element")
     return a.exponent * _LN2 + np.log(a.mantissa)
 
 
@@ -349,14 +144,3 @@ def vec_to_real(a: ScaledVector) -> np.ndarray:
         raise NativeRangeError("batch holds values outside native float range")
     out = np.ldexp(a.sign * a.mantissa, a.exponent)
     return np.where(nonzero, out, 0.0)
-
-
-def vec_check_exponents(a: ScaledVector) -> None:
-    """Engine guard; raises with the offending batch index."""
-    bad = np.abs(a.exponent) > EXPONENT_LIMIT
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ExponentOverflowError(
-            f"exponent {int(a.exponent[idx])} at batch index {idx} "
-            "beyond +/-2**62"
-        )

@@ -13,10 +13,10 @@ blocks of ``BLOCK`` trajectories regardless of worker count, so output
 is bit-identical for any ``workers`` setting; results are gathered in
 trajectory order.
 
-The per-trajectory recursion runs entirely in scaled arithmetic. The
-batched kernel applies the vec_* operations, which are bit-for-bit
-equivalent to the scalar ones, so ``run_batch`` with N = 1 reproduces
-``run_trajectory`` exactly.
+The per-trajectory recursion runs entirely in scaled arithmetic, one
+``vec_*`` operation per step for a whole block of trajectories. The tests
+replay single trajectories from their own streams in exact rational and
+mpmath arithmetic and compare them with ``run_batch``.
 
 The sum-form sampler (S_n = sum of Q_k * prod_{j<k} M_j, equal to R_n
 in law after reversing the driving sequence) is kept as a test-only
@@ -44,11 +44,7 @@ from .errors import (
 from .models import DiscreteJoint, PairModel, SignedUnit, analytic_moments
 from .scaled import (
     EXPONENT_LIMIT,
-    ZERO,
-    ScaledReal,
     ScaledVector,
-    add,
-    mul,
     vec_add,
     vec_log_abs,
     vec_mul,
@@ -59,13 +55,10 @@ __all__ = [
     "BLOCK",
     "CHUNK",
     "ENUMERATION_GUARD",
-    "Trajectory",
-    "TrajectoryPoint",
     "BatchResult",
     "ExactDistribution",
     "trajectory_seed",
     "reference_seed",
-    "run_trajectory",
     "run_batch",
     "run_sum_form",
     "enumerate_exact",
@@ -102,28 +95,8 @@ def reference_seed(master_seed: int) -> int:
     return _splitmix64(master_seed)
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    n: int
-    r: ScaledReal
-    w_log: float | None = None
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Checkpointed path of the recursion; w_log is ln of the running
-    maximum of the series terms when tracked."""
-
-    points: tuple[TrajectoryPoint, ...]
-    seed: int
-
-
 class BatchResult:
-    """Per-checkpoint sample sets from ``run_batch``.
-
-    Internally a structure of arrays; ``samples`` materializes the
-    scalar ScaledReal view.
-    """
+    """Per-checkpoint sample sets from ``run_batch``, as ScaledVectors."""
 
     def __init__(
         self,
@@ -141,9 +114,6 @@ class BatchResult:
 
     def vectors(self, n: int) -> ScaledVector:
         return self._vectors[n]
-
-    def samples(self, n: int) -> list[ScaledReal]:
-        return self._vectors[n].to_list()
 
     def to_reals(self, n: int) -> np.ndarray:
         return vec_to_real(self._vectors[n])
@@ -170,55 +140,6 @@ def _require_positive_for_w(model: PairModel) -> None:
         raise InvalidArgumentsError(
             "w_log tracking needs Q > 0 and M > 0 almost surely"
         )
-
-
-def run_trajectory(
-    model: PairModel,
-    checkpoints,
-    seed: int,
-    track_w: bool = False,
-) -> Trajectory:
-    """Iterate the recursion from R_0 = 0; identical seed, identical path."""
-    cps = _validate_checkpoints(checkpoints)
-    if track_w:
-        _require_positive_for_w(model)
-    n_max = cps[-1]
-    gen = Generator(Philox(key=seed & _MASK64))
-    u = gen.random((n_max, 2)) + _U_SHIFT
-    qv, mv = model.scaled_draws(u[:, 0], u[:, 1])
-    if track_w:
-        q_log = vec_log_abs(qv).tolist()
-        m_log = vec_log_abs(mv).tolist()
-    q_s = qv.sign.tolist()
-    q_e = qv.exponent.tolist()
-    q_m = qv.mantissa.tolist()
-    m_s = mv.sign.tolist()
-    m_e = mv.exponent.tolist()
-    m_m = mv.mantissa.tolist()
-
-    r = ZERO
-    w = -math.inf
-    logprod = 0.0
-    cps_set = set(cps)
-    points: list[TrajectoryPoint] = []
-    for t in range(n_max):
-        m_t = (
-            ScaledReal(m_s[t], m_e[t], m_m[t]) if m_s[t] != 0 else ZERO
-        )
-        q_t = (
-            ScaledReal(q_s[t], q_e[t], q_m[t]) if q_s[t] != 0 else ZERO
-        )
-        r = add(q_t, mul(m_t, r))
-        if track_w:
-            term = q_log[t] + logprod
-            if term > w:
-                w = term
-            logprod += m_log[t]
-        if (t + 1) in cps_set:
-            points.append(
-                TrajectoryPoint(t + 1, r, w if track_w else None)
-            )
-    return Trajectory(tuple(points), seed)
 
 
 def _run_block(

@@ -9,6 +9,7 @@ slow sqrt(n)-scale convergences.
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,29 @@ def test_criterion_11_reproducibility_across_workers(tmp_path):
         11,
         "verify CSV byte-identical at workers 1 vs 8",
         f"{len(outputs[1])} bytes, identical={ok}",
+        ok,
+    )
+    assert ok
+
+
+def test_criterion_12_case_i_limits_carry_q(tmp_path):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    q3 = json.loads((configs / "case1_sym.json").read_text())
+    q3["model"]["q"] = {"family": "constant", "value": 3.0}
+    q3["samples"] = 20_000
+    (tmp_path / "case1_sym_q3.json").write_text(json.dumps(q3))
+    runs = [configs / "case1_sym.json", configs / "case1_asym.json", tmp_path / "case1_sym_q3.json"]
+    results = []
+    for path in runs:
+        out = tmp_path / path.stem
+        code = main(["verify", "--config", str(path), "--out", str(out), "--workers", "2", "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        results.append((path.stem, code, report["final_ks"], report["threshold"]))
+    ok = all(code == 0 for _, code, _, _ in results)
+    record(
+        12,
+        "verify passes Case I with Q in the limit (sym, asym, sym Q=3)",
+        "; ".join(f"{name}: ks={ks:.5f} <= {thr:.5f}" for name, _, ks, thr in results),
         ok,
     )
     assert ok

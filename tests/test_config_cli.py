@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from perpsim import cli
 from perpsim.cli import main
 from perpsim.config import load_config, parse_config, resolved_dict
 from perpsim.errors import ConfigError
@@ -267,6 +268,30 @@ class TestOracleCommand:
         row = report["checkpoints"][-1]
         assert row["deviation"] <= report["dkw_bound"]
         assert row["recursion_vs_enumeration"] < 1e-10
+
+    def test_bundled_seed_115_passes(self, tmp_path):
+        # the worst of 10 checkpoints at delta = 0.01 overshoots 0.01 / 10 less
+        # often than 1%: seed 115 fails a per-checkpoint 1% band at n = 2
+        config = Path(__file__).resolve().parent.parent / "configs" / "oracle_fair_sign.json"
+        out = tmp_path / "out"
+        code = main(["oracle", "--config", str(config), "--out", str(out),
+                     "--seed", "115", "--workers", "2", "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert report["delta"] == pytest.approx(0.001)
+        assert report["checkpoints"][1]["deviation"] > cli.dkw_bound(100_000, 0.01)
+        assert code == 0 and report["passed"] is True
+
+    def test_wrong_exact_law_fails(self, tmp_path, monkeypatch):
+        # the calibrated gate still rejects samples against the law of a
+        # different model (P(M = +1) = 0.55 instead of 1/2)
+        wrong = cli.DiscreteJoint((((1.0, 1.0), 0.55), ((1.0, -1.0), 0.45)))
+        real = cli.enumerate_exact
+        monkeypatch.setattr(cli, "enumerate_exact", lambda model, n: real(wrong, n))
+        path = write_config(tmp_path, self.oracle_config(samples=10_000))
+        out = tmp_path / "out"
+        code = main(["oracle", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert json.loads((out / "report.json").read_text())["passed"] is False
 
     def test_non_discrete_exits_two(self, tmp_path):
         path = write_config(tmp_path, base_config())

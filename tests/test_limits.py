@@ -20,6 +20,8 @@ from perpsim.models import (
     analytic_moments,
     classify,
 )
+from perpsim.normalize import normalize_samples
+from perpsim.simulate import run_batch
 from perpsim.stats import dkw_bound, ks_one_sample, ks_two_sample
 
 
@@ -31,30 +33,62 @@ def regime_for(model):
     return classify(analytic_moments(model), model)
 
 
+def law_for(model):
+    return lim.limit_for(regime_for(model), model)
+
+
+def case_one_second_moment(lam, p, mean_q, mean_q2):
+    """E X**2 of the Case I limit for Q independent of sgn M, e = 2p - 1."""
+    e = 2.0 * p - 1.0
+    return mean_q2 / (1 - lam**2) + 2 * mean_q**2 * lam * e / ((1 - lam**2) * (1 - lam * e))
+
+
 class TestLimitFor:
     def test_case_i_sym_rho2(self):
-        law = lim.limit_for(regime_for(ScaledRademacher(2.0, 0.5, QRademacher(0.5))))
+        law = law_for(ScaledRademacher(2.0, 0.5, QRademacher(0.5)))
         assert law == lim.BernoulliConvolution(0.5)
         assert lim.has_cdf(law)
 
     def test_case_i_sym_rho3_no_cdf(self):
-        law = lim.limit_for(regime_for(ScaledRademacher(3.0, 0.5, QRademacher(0.5))))
+        law = law_for(ScaledRademacher(3.0, 0.5, QRademacher(0.5)))
         assert law == lim.BernoulliConvolution(1.0 / 3.0)
         assert not lim.has_cdf(law)
 
     def test_case_i_asym(self):
-        law = lim.limit_for(regime_for(ScaledRademacher(2.0, 0.7, QRademacher(0.7))))
-        assert law == lim.SymmetrizedPerpetuity(0.5, 0.7)
+        # Q enters every term of the series, so the law carries (Q, sgn M)
+        law = law_for(ScaledRademacher(2.0, 0.7, QRademacher(0.7)))
+        assert isinstance(law, lim.SymmetrizedPerpetuity)
+        assert (law.lam, law.p) == (0.5, 0.7)
+        pairs = {(q, s): w for q, s, w in law.pairs}
+        assert pairs.keys() == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
+        assert pairs[(-1.0, 1.0)] == pytest.approx(0.3 * 0.7)
         assert not lim.has_cdf(law)
 
+    def test_case_i_asym_unit_q_keeps_plain_law(self):
+        law = law_for(ScaledRademacher(2.0, 0.7, QConstant(1.0)))
+        assert law == lim.SymmetrizedPerpetuity(0.5, 0.7)
+
+    def test_case_i_sym_constant_q_scales(self):
+        # |Q| = 3 independent of the signs: 3 BC(1/2) = Uniform[-6, 6]
+        law = law_for(ScaledRademacher(2.0, 0.5, QConstant(-3.0)))
+        assert law == lim.BernoulliConvolution(0.5, 3.0)
+        assert lim.cdf(law, [-6.0, -3.0, 0.0, 4.5, 6.0]).tolist() == [0.0, 0.25, 0.5, 0.875, 1.0]
+
+    def test_case_i_dependent_pairs(self):
+        # Q tied to the sign of M: not BC even though p = 1/2 and |Q| = 1
+        model = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -2.0), 0.25), ((-1.0, -2.0), 0.25)))
+        law = law_for(model)
+        assert regime_for(model).case == "I-sym"
+        assert law == lim.SymmetrizedPerpetuity(
+            0.5, 0.5, ((-1.0, -1.0, 0.25), (1.0, -1.0, 0.25), (1.0, 1.0, 0.5))
+        )
+
     def test_case_iv_beta2(self):
-        law = lim.limit_for(regime_for(SignedUnit(0.75, QConstant(1.0))))
+        law = law_for(SignedUnit(0.75, QConstant(1.0)))
         assert law == lim.Gaussian(3.0)
 
     def test_case_iii_evt(self):
-        law = lim.limit_for(
-            regime_for(LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)))
-        )
+        law = law_for(LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)))
         assert law == lim.ExpFrechet(-1.0)
 
     @pytest.mark.parametrize(
@@ -62,6 +96,9 @@ class TestLimitFor:
         [
             ScaledRademacher(2.0, 0.5, QRademacher(0.5)),
             ScaledRademacher(2.5, 0.3, QRademacher(0.3)),
+            ScaledRademacher(2.0, 0.5, QConstant(3.0)),
+            ScaledRademacher(2.0, 0.7, QConstant(1.0)),
+            DiscreteJoint((((1.0, 2.0), 0.5), ((-1.0, -2.0), 0.5))),
             LogNormalPair(0.5, 1.0, QConstant(1.0)),
             DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -4.0), 0.5))),
             LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0)),
@@ -71,12 +108,12 @@ class TestLimitFor:
     )
     def test_label_matches_regime_prediction(self, model):
         reg = regime_for(model)
-        assert lim.label(lim.limit_for(reg)) == reg.limit
+        assert lim.label(lim.limit_for(reg, model)) == reg.limit
 
     def test_unsupported_regime(self):
-        reg = regime_for(DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -0.5), 0.5))))
+        model = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -0.5), 0.5)))
         with pytest.raises(UnsupportedError):
-            lim.limit_for(reg)
+            law_for(model)
 
 
 class TestCdf:
@@ -188,6 +225,35 @@ class TestSamplers:
         out = lim.sample_limit(law, rng(4), size=100_000)
         se = out.std(ddof=1) / math.sqrt(out.size)
         assert abs(out.mean()) < 4 * se
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ScaledRademacher(2.0, 0.7, QRademacher(0.7)),  # E X^2 = 1.44
+            ScaledRademacher(2.0, 0.7, QConstant(3.0)),  # 18
+            ScaledRademacher(3.0, 0.2, QRademacher(0.9)),
+            ScaledRademacher(2.0, 0.5, QConstant(3.0)),  # 12, Uniform[-6, 6]
+        ],
+    )
+    def test_case_i_second_moment(self, model):
+        mom = analytic_moments(model)
+        lam = 1.0 / model.rho
+        want = case_one_second_moment(lam, model.p, mom.mean_q, mom.mean_q2)
+        out = lim.sample_limit(law_for(model), rng(9), size=200_000)
+        se = np.std(out**2, ddof=1) / math.sqrt(out.size)
+        assert abs(np.mean(out**2) - want) < 4 * se
+
+    def test_case_i_dependent_pairs_match_simulation(self):
+        # the series law of a model with Q tied to sgn M against the
+        # normalized recursion itself
+        model = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -2.0), 0.25), ((-1.0, -2.0), 0.25)))
+        reg = regime_for(model)
+        batch = run_batch(model, [40], 20_000, master_seed=17)
+        values = normalize_samples(reg, batch.vectors(40), 40)
+        ref = lim.sample_limit(law_for(model), rng(10), size=20_000)
+        assert ks_two_sample(values, ref) < 2 * dkw_bound(20_000, 0.005)
+        bc = lim.sample_limit(lim.BernoulliConvolution(0.5), rng(11), size=20_000)
+        assert ks_two_sample(values, bc) > 2 * dkw_bound(20_000, 0.005)
 
     def test_exp_frechet_inverse_cdf_point(self):
         law = lim.ExpFrechet(-1.0)

@@ -27,11 +27,11 @@ from perpsim.models import (
     analytic_moments,
     beta_squared,
     classify,
-    sample_pair,
     sign_gap,
     tail_quantile,
 )
 from perpsim.scaled import vec_to_real
+from perpsim.simulate import run_batch, trajectory_seed
 
 
 def rng(seed=0):
@@ -109,31 +109,39 @@ class TestValidation:
             QLogBoundary("vanishing", 1.1)  # tail above 1 at t0
 
 
+def draw_pairs(model, g, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k (q, m) draws, two uniforms each, as the engine makes them."""
+    u = g.random((k, 2)) + 2.0**-54  # shift into the open interval (0, 1)
+    qv, mv = model.scaled_draws(u[:, 0], u[:, 1])
+    return vec_to_real(qv), vec_to_real(mv)
+
+
 class TestSamplePair:
     def test_point_mass(self):
         model = DiscreteJoint((((1.0, 2.0), 1.0),))
-        g = rng(1)
-        assert all(sample_pair(model, g) == (1.0, 2.0) for _ in range(20))
+        q, m = draw_pairs(model, rng(1), 20)
+        assert set(q) == {1.0} and set(m) == {2.0}
 
     def test_scaled_rademacher_marginals(self):
-        g = rng(2)
-        draws = [sample_pair(CASE_I_SYM, g) for _ in range(40_000)]
-        ms = np.array([m for _, m in draws])
+        _, ms = draw_pairs(CASE_I_SYM, rng(2), 40_000)
         assert set(np.unique(ms)) == {-2.0, 2.0}
         assert abs((ms == 2.0).mean() - 0.5) < 0.01
 
     def test_lognormal_log_mean(self):
-        g = rng(3)
         model = LogNormalPair(0.3, 1.0, QConstant(1.0))
-        logs = np.log([m for _, m in (sample_pair(model, g) for _ in range(100_000))])
-        assert abs(logs.mean() - 0.3) < 0.02
+        _, m = draw_pairs(model, rng(3), 100_000)
+        assert abs(np.log(m).mean() - 0.3) < 0.02
 
     def test_consumes_two_uniforms(self):
-        g1, g2 = rng(9), rng(9)
-        sample_pair(CASE_III_CLT, g1)
-        g2.random(2)
-        # identical stream positions after one draw
-        assert g1.random() == g2.random()
+        # step t of a trajectory reads row t of its stream's (n, 2)
+        # uniforms, Q from the first column and M from the second
+        model = SignedUnit(0.5, QRademacher(0.5))
+        gen = Generator(Philox(key=trajectory_seed(9, 0)))
+        u = gen.random((40, 2)) + 2.0**-54
+        r = 0
+        for u_q, u_m in u:
+            r = (1 if u_q < 0.5 else -1) + (1 if u_m < 0.5 else -1) * r
+        assert run_batch(model, [40], 1, master_seed=9).to_reals(40)[0] == r
 
 
 class TestAnalyticMoments:

@@ -1,7 +1,10 @@
-"""Normalization maps: formula checks, sign handling, scalar/vector parity."""
+"""Normalization maps: formulas against mpmath, sign handling, monotonicity."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +12,10 @@ from hypothesis import strategies as st
 
 from perpsim.errors import InvalidArgumentsError
 from perpsim.models import (
+    DiscreteJoint,
     LogNormalPair,
     QConstant,
+    QLogBoundary,
     QLogNormal,
     QLogPareto,
     QRademacher,
@@ -19,8 +24,8 @@ from perpsim.models import (
     analytic_moments,
     classify,
 )
-from perpsim.normalize import apply_normalization, normalize_samples
-from perpsim.scaled import ScaledVector, from_log, from_real
+from perpsim.normalize import normalize_samples
+from perpsim.scaled import ScaledVector, vec_from_log, vec_from_real
 from perpsim.stats import ks_two_sample
 
 
@@ -33,112 +38,117 @@ REG_I_RHO3 = regime_for(ScaledRademacher(3.0, 0.5, QRademacher(0.5)))
 REG_II_ABS = regime_for(LogNormalPair(0.5, 1.0, QConstant(1.0)))
 REG_III_CLT = regime_for(LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0)))
 REG_III_EVT = regime_for(LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)))
+REG_III_BG = regime_for(LogNormalPair(0.0, 1.0, QLogBoundary("growing", 2.0)))
 REG_IV = regime_for(SignedUnit(0.75, QConstant(1.0)))
-
-# II-signed needs a discrete fixture; build it through classify for realism
-from perpsim.models import DiscreteJoint  # noqa: E402
-
 REG_II_SIGNED = regime_for(DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -4.0), 0.5))))
 
 
-def pack(values):
-    return ScaledVector(
-        np.array([v.sign for v in values], dtype=np.int8),
-        np.array([v.exponent for v in values], dtype=np.int64),
-        np.array([v.mantissa for v in values]),
-    )
+def norm(regime, xs, n, gamma_n=None) -> np.ndarray:
+    return normalize_samples(regime, vec_from_real(np.array(xs, dtype=float)), n, gamma_n)
+
+
+def mp_reference(regime, sign, exponent, mantissa, n, gamma_n=None):
+    """The regime's map evaluated in 200-bit arithmetic from the exact input."""
+    case = regime.case
+    with mpmath.workprec(200):
+        r = sign * mpmath.ldexp(mpmath.mpf(mantissa), exponent)
+        if case in ("I-sym", "I-asym"):
+            return r / mpmath.mpf(regime.rho) ** (n - 1)
+        if case == "IV":
+            return r / mpmath.sqrt(n)
+        if sign == 0:
+            return mpmath.mpf(0)
+        if case in ("III-evt", "III-boundary-growing"):
+            divisor, shift = mpmath.mpf(gamma_n), 0
+        else:
+            divisor = regime.v * mpmath.sqrt(n)
+            shift = regime.mu * mpmath.sqrt(n) / regime.v if case.startswith("II") else 0
+        mag = mpmath.exp(mpmath.log(abs(r)) / divisor - shift)
+        return sign * mag if case == "II-signed" else mag
+
+
+def assert_matches_mpmath(regime, values: ScaledVector, n, gamma_n=None, rel=1e-12):
+    got = normalize_samples(regime, values, n, gamma_n)
+    for i in range(len(values)):
+        s, e, m = int(values.sign[i]), int(values.exponent[i]), float(values.mantissa[i])
+        want = float(mp_reference(regime, s, e, m, n, gamma_n))
+        assert got[i] == pytest.approx(want, rel=rel, abs=1e-300), (regime.case, i)
 
 
 class TestExamples:
     def test_case_i_power_of_two(self):
-        assert apply_normalization(REG_I_SYM, from_real(16.0), 5) == 1.0
+        assert norm(REG_I_SYM, [16.0], 5)[0] == 1.0
 
     def test_case_i_rho3(self):
-        r = from_real(3.0**7 * 1.25)
-        assert apply_normalization(REG_I_RHO3, r, 8) == pytest.approx(
-            1.25, rel=1e-12
-        )
+        assert norm(REG_I_RHO3, [3.0**7 * 1.25], 8)[0] == pytest.approx(1.25, rel=1e-12)
 
     def test_case_ii_signed(self):
         # mu=0.5, v=1, n=4, r=-e^4 -> -e
-        import dataclasses
-
         reg = dataclasses.replace(REG_II_SIGNED, mu=0.5, v=1.0)
-        r = from_log(4.0, sign=-1)
-        assert apply_normalization(reg, r, 4) == pytest.approx(
-            -math.e, rel=1e-12
-        )
+        got = normalize_samples(reg, vec_from_log(np.array([4.0]), sign=-1), 4)
+        assert got[0] == pytest.approx(-math.e, rel=1e-12)
 
     def test_case_iii_evt(self):
-        r = from_log(200.0)
-        got = apply_normalization(REG_III_EVT, r, 123, gamma_n=100.0)
-        assert got == pytest.approx(math.exp(2.0), rel=1e-12)
+        got = normalize_samples(REG_III_EVT, vec_from_log(np.array([200.0])), 123, gamma_n=100.0)
+        assert got[0] == pytest.approx(math.exp(2.0), rel=1e-12)
 
     def test_case_iv(self):
-        assert apply_normalization(REG_IV, from_real(5.0), 100) == pytest.approx(
-            0.5, rel=1e-15
-        )
+        assert norm(REG_IV, [5.0], 100)[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_zero_maps_to_zero(self):
-        from perpsim.scaled import ZERO
-
-        for reg in (REG_II_ABS, REG_III_CLT, REG_I_SYM):
-            kwargs = {}
-            assert apply_normalization(reg, ZERO, 10, **kwargs) == 0.0
+        for reg in (REG_II_ABS, REG_III_CLT, REG_I_SYM, REG_I_RHO3):
+            assert norm(reg, [0.0], 10)[0] == 0.0
 
     def test_missing_gamma_rejected(self):
         with pytest.raises(InvalidArgumentsError):
-            apply_normalization(REG_III_EVT, from_real(2.0), 10)
+            norm(REG_III_EVT, [2.0], 10)
 
     def test_negative_sample_in_case_iii_rejected(self):
         with pytest.raises(InvalidArgumentsError):
-            apply_normalization(REG_III_CLT, from_real(-2.0), 10)
+            norm(REG_III_CLT, [3.0, -2.0], 10)
 
     def test_convergent_regime_rejected(self):
         reg = regime_for(LogNormalPair(-0.5, 1.0, QConstant(1.0)))
         with pytest.raises(InvalidArgumentsError):
-            apply_normalization(reg, from_real(1.0), 10)
+            norm(reg, [1.0], 10)
 
 
 class TestScaledPathEquivalence:
-    """Computing through log_abs must agree with native evaluation."""
+    """Computing through ln|r| must agree with a 200-bit evaluation."""
 
     @given(st.floats(min_value=0.01, max_value=1e12), st.integers(2, 40))
     def test_case_ii_abs(self, x, n):
-        reg = REG_II_ABS
-        want = math.exp(
-            math.log(x) / (reg.v * math.sqrt(n))
-            - reg.mu * math.sqrt(n) / reg.v
-        )
-        got = apply_normalization(reg, from_real(x), n)
-        assert got == pytest.approx(want, rel=1e-10)
+        assert_matches_mpmath(REG_II_ABS, vec_from_real(np.array([x])), n, rel=1e-10)
 
     @given(st.floats(min_value=0.01, max_value=1e12), st.integers(2, 40))
     def test_case_iii_clt(self, x, n):
-        want = x ** (1.0 / (REG_III_CLT.v * math.sqrt(n)))
-        got = apply_normalization(REG_III_CLT, from_real(x), n)
-        assert got == pytest.approx(want, rel=1e-10)
+        assert_matches_mpmath(REG_III_CLT, vec_from_real(np.array([x])), n, rel=1e-10)
 
     @given(st.floats(min_value=-1e9, max_value=1e9), st.integers(2, 60))
     def test_case_i_general_rho(self, x, n):
-        want = x / 3.0 ** (n - 1)
-        got = apply_normalization(REG_I_RHO3, from_real(x), n)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+        want = float(Fraction(x) / 3 ** (n - 1))
+        assert norm(REG_I_RHO3, [x], n)[0] == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("n", [2, 61, 10**6])
+    def test_case_i_rho3_long_horizon(self, n):
+        # inputs near 3**(n-1) * x, far outside native range at n = 10**6
+        xs = [1.25, -0.3, 1.0, -1.9999]
+        logs = [math.log(abs(x)) + (n - 1) * math.log(3.0) for x in xs]
+        mags = vec_from_log(np.array(logs))
+        values = ScaledVector(np.sign(xs).astype(np.int8), mags.exponent, mags.mantissa)
+        assert_matches_mpmath(REG_I_RHO3, values, n, rel=1e-13)
 
 
 class TestSignsAndMonotonicity:
     @given(st.floats(min_value=0.01, max_value=1e9))
     def test_ii_signed_preserves_sign(self, x):
-        import dataclasses
-
         reg = dataclasses.replace(REG_II_SIGNED, mu=0.5, v=1.0)
-        pos = apply_normalization(reg, from_real(x), 9)
-        neg = apply_normalization(reg, from_real(-x), 9)
+        pos, neg = norm(reg, [x, -x], 9)
         assert pos > 0 and neg == -pos
 
     @given(st.floats(min_value=0.01, max_value=1e9))
     def test_ii_abs_positive(self, x):
-        assert apply_normalization(REG_II_ABS, from_real(-x), 9) > 0
+        assert norm(REG_II_ABS, [-x], 9)[0] > 0
 
     @given(
         st.lists(
@@ -147,50 +157,41 @@ class TestSignsAndMonotonicity:
         st.integers(2, 30),
     )
     def test_case_i_monotone(self, xs, n):
-        ys = [apply_normalization(REG_I_SYM, from_real(x), n) for x in xs]
+        ys = norm(REG_I_SYM, xs, n)
         order = np.argsort(xs, kind="stable")
-        assert np.all(np.diff(np.array(ys)[order]) >= 0)
+        assert np.all(np.diff(ys[order]) >= 0)
 
     def test_ecdf_commutes_with_normalization(self):
         # strictly increasing map: KS between normalized sets equals KS
         # between raw sets mapped through any common grid
         rng = np.random.default_rng(5)
         raw = rng.normal(size=200)
-        a = [apply_normalization(REG_IV, from_real(x), 50) for x in raw]
-        b = [apply_normalization(REG_IV, from_real(x), 50) for x in raw]
+        a = norm(REG_IV, raw, 50)
+        b = norm(REG_IV, raw, 50)
         assert ks_two_sample(a, b) == 0.0
 
 
 class TestVectorParity:
     def test_matches_scalar_all_regimes(self):
+        # every regime's map against its 200-bit evaluation, zero included
         rng = np.random.default_rng(11)
         xs = np.concatenate([rng.lognormal(3, 2, 50), [0.0]])
+        signed = xs * rng.choice([-1, 1], xs.size)
         cases = [
-            (REG_I_SYM, dict(n=12), xs * rng.choice([-1, 1], xs.size)),
-            (REG_I_RHO3, dict(n=12), xs * rng.choice([-1, 1], xs.size)),
-            (REG_II_ABS, dict(n=25), xs * rng.choice([-1, 1], xs.size)),
+            (REG_I_SYM, dict(n=12), signed),
+            (REG_I_RHO3, dict(n=12), signed),
+            (REG_II_ABS, dict(n=25), signed),
+            (dataclasses.replace(REG_II_SIGNED, mu=0.5, v=1.0), dict(n=25), signed),
             (REG_III_CLT, dict(n=25), xs),
             (REG_III_EVT, dict(n=25, gamma_n=25.0), xs),
-            (REG_IV, dict(n=25), xs * rng.choice([-1, 1], xs.size)),
+            (REG_III_BG, dict(n=25, gamma_n=7.5), xs),
+            (REG_IV, dict(n=25), signed),
         ]
         for reg, kwargs, values in cases:
-            scaled = [from_real(float(x)) for x in values]
-            vec = normalize_samples(reg, pack(scaled), **kwargs)
-            for i, s in enumerate(scaled):
-                want = apply_normalization(reg, s, **kwargs)
-                assert vec[i] == pytest.approx(want, rel=1e-12, abs=1e-300), (
-                    reg.case,
-                    i,
-                )
+            assert_matches_mpmath(reg, vec_from_real(values), **kwargs)
 
     def test_ii_signed_vector(self):
-        import dataclasses
-
         reg = dataclasses.replace(REG_II_SIGNED, mu=0.5, v=1.0)
-        values = [from_real(x) for x in (-3.0, 2.0, -1.5, 8.0)]
-        vec = normalize_samples(reg, pack(values), 16)
-        for i, s in enumerate(values):
-            assert vec[i] == pytest.approx(
-                apply_normalization(reg, s, 16), rel=1e-12
-            )
-        assert (np.sign(vec) == [-1, 1, -1, 1]).all()
+        values = vec_from_real(np.array([-3.0, 2.0, -1.5, 8.0]))
+        assert_matches_mpmath(reg, values, 16)
+        assert (np.sign(normalize_samples(reg, values, 16)) == [-1, 1, -1, 1]).all()

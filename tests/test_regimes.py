@@ -26,7 +26,7 @@ from perpsim.stats import ks_one_sample, ks_two_sample
 
 def pipeline(model, checkpoints, count, seed):
     reg = classify(analytic_moments(model), model)
-    law = lim.limit_for(reg)
+    law = lim.limit_for(reg, model)
     batch = run_batch(model, checkpoints, count, seed)
     out = {}
     for n in checkpoints:

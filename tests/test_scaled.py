@@ -1,7 +1,10 @@
-"""Scaled arithmetic: exactness, algebra, scalar/vector equivalence."""
+"""Scaled arithmetic against exact references (Fraction and mpmath)."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,19 +16,10 @@ from perpsim.errors import (
     InvalidInputError,
     NativeRangeError,
 )
+from perpsim.models import DiscreteJoint, analytic_moments, classify
+from perpsim.normalize import _rho_power_factor, normalize_samples
 from perpsim.scaled import (
-    ZERO,
-    ScaledReal,
     ScaledVector,
-    add,
-    from_log,
-    from_real,
-    log_abs,
-    mul,
-    pow_int,
-    reciprocal,
-    signed_pow,
-    to_real,
     vec_add,
     vec_from_log,
     vec_from_real,
@@ -33,6 +27,7 @@ from perpsim.scaled import (
     vec_mul,
     vec_to_real,
 )
+from perpsim.simulate import run_batch
 
 # Exclude subnormals: exactness is only promised on the normal range.
 normal_floats = st.floats(
@@ -43,87 +38,142 @@ normal_floats = st.floats(
     allow_subnormal=False,
 )
 
-scaled_values = st.builds(
-    lambda s, e, m: ScaledReal(s, e, m) if s != 0 else ZERO,
-    st.sampled_from([-1, 1]),
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
-) | st.just(ZERO)
+mantissas = st.floats(min_value=1.0, max_value=2.0, exclude_max=True)
+
+# (sign, exponent offset, mantissa); zero is (0, 0, 1.0). Offsets are
+# relative to a large shared base exponent, so exact Fractions stay small.
+offset_triples = st.one_of(
+    st.tuples(st.sampled_from([-1, 1]), st.integers(-150, 150), mantissas),
+    st.just((0, 0, 1.0)),
+)
+base_exponents = st.integers(min_value=-(2**40), max_value=2**40)
+
+
+def pack(triples, base=0):
+    """ScaledVector from (sign, exponent offset, mantissa) triples."""
+    return ScaledVector(
+        np.array([s for s, _, _ in triples], dtype=np.int8),
+        np.array([e + base if s else 0 for s, e, _ in triples], dtype=np.int64),
+        np.array([m for _, _, m in triples]),
+    )
+
+
+def triple(v: ScaledVector, i: int = 0):
+    return int(v.sign[i]), int(v.exponent[i]), float(v.mantissa[i])
+
+
+def exact(sign, exponent, mantissa) -> Fraction:
+    """Exact value of sign * mantissa * 2**exponent."""
+    return sign * Fraction(mantissa) * Fraction(2) ** exponent
+
+
+def mp_value(sign, exponent, mantissa):
+    return sign * mpmath.ldexp(mpmath.mpf(mantissa), exponent)
+
+
+def one(x: float) -> ScaledVector:
+    return vec_from_real(np.array([x]))
 
 
 class TestFromReal:
     def test_zero(self):
-        assert from_real(0.0) == ScaledReal(0, 0, 1.0)
+        assert triple(one(0.0)) == (0, 0, 1.0)
 
     def test_negative_power_of_two(self):
-        assert from_real(-8.0) == ScaledReal(-1, 3, 1.0)
+        assert triple(one(-8.0)) == (-1, 3, 1.0)
 
     def test_three(self):
-        assert from_real(3.0) == ScaledReal(1, 1, 1.5)
+        assert triple(one(3.0)) == (1, 1, 1.5)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError):
-            from_real(bad)
+            vec_from_real(np.array([1.0, bad]))
 
     @given(normal_floats)
     def test_round_trip(self, x):
-        assert to_real(from_real(x)) == x
+        v = one(x)
+        assert exact(*triple(v)) == Fraction(x)
+        assert vec_to_real(v)[0] == x
 
 
 class TestMul:
     def test_plain(self):
-        out = mul(ScaledReal(1, 10, 1.5), ScaledReal(-1, 5, 1.2))
-        assert out == ScaledReal(-1, 15, 1.5 * 1.2)
+        out = vec_mul(pack([(1, 10, 1.5)]), pack([(-1, 5, 1.2)]))
+        assert triple(out) == (-1, 15, 1.5 * 1.2)
 
     def test_zero_annihilates(self):
-        assert mul(ScaledReal(1, 10, 1.5), ZERO) == ZERO
-        assert mul(ZERO, ZERO) == ZERO
+        zero = pack([(0, 0, 1.0)])
+        assert triple(vec_mul(pack([(1, 10, 1.5)]), zero)) == (0, 0, 1.0)
+        assert triple(vec_mul(zero, zero)) == (0, 0, 1.0)
 
     def test_mantissa_carry(self):
-        out = mul(ScaledReal(1, 0, 1.5), ScaledReal(1, 0, 1.5))
-        assert out == ScaledReal(1, 1, 1.125)
+        out = vec_mul(pack([(1, 0, 1.5)]), pack([(1, 0, 1.5)]))
+        assert triple(out) == (1, 1, 1.125)
 
     def test_exponent_overflow(self):
-        huge = ScaledReal(1, 2**62, 1.0)
-        with pytest.raises(ExponentOverflowError):
-            mul(huge, ScaledReal(1, 10, 1.0))
+        # vec_mul itself does not check; the engine refuses a checkpoint
+        # whose exponent passes 2**62 and names the trajectory and n
+        class HugeM:
+            positive = True
 
-    @given(scaled_values, scaled_values)
-    def test_sign_algebra_exact(self, a, b):
-        assert mul(a, b).sign == a.sign * b.sign
+            def scaled_draws(self, u_q, u_m):
+                ones = np.ones(u_q.shape)
+                q = ScaledVector(np.ones(u_q.shape, np.int8), np.zeros(u_q.shape, np.int64), ones)
+                m = ScaledVector(np.ones(u_m.shape, np.int8), np.full(u_m.shape, 2**61), ones)
+                return q, m
 
-    @given(scaled_values, scaled_values)
-    def test_log_additivity(self, a, b):
-        if a.sign == 0 or b.sign == 0:
+        with pytest.raises(ExponentOverflowError, match=r"trajectory 0: .* at n=4"):
+            run_batch(HugeM(), [4], 1, master_seed=1)
+
+    @given(st.lists(st.tuples(offset_triples, offset_triples), min_size=1, max_size=30), base_exponents)
+    def test_sign_algebra_exact(self, pairs, base):
+        out = vec_mul(pack([a for a, _ in pairs], base), pack([b for _, b in pairs], base))
+        assert out.sign.tolist() == [a[0] * b[0] for a, b in pairs]
+
+    @given(offset_triples, offset_triples, base_exponents)
+    def test_log_additivity(self, a, b, base):
+        # ln|a b| against mpmath's exact ln|a| + ln|b|: no float sum of
+        # two large, nearly cancelling logs enters the reference
+        if a[0] == 0 or b[0] == 0:
             return
-        got = log_abs(mul(a, b))
-        want = log_abs(a) + log_abs(b)
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+        got = vec_log_abs(vec_mul(pack([a], base), pack([b], base)))[0]
+        with mpmath.workprec(200):
+            want = mpmath.log(abs(mp_value(a[0], a[1] + base, a[2]))) + mpmath.log(
+                abs(mp_value(b[0], b[1] + base, b[2]))
+            )
+            err = abs(mpmath.mpf(got) - want)
+        assert err <= 1e-15 * (1.0 + abs(float(want)))
 
 
 class TestAdd:
     def test_dominated(self):
-        out = add(ScaledReal(1, 100, 1.0), ScaledReal(1, 0, 1.0))
-        assert out == ScaledReal(1, 100, 1.0)
+        out = vec_add(pack([(1, 100, 1.0)]), pack([(1, 0, 1.0)]))
+        assert triple(out) == (1, 100, 1.0)
 
     def test_cancellation(self):
-        assert add(ScaledReal(1, 3, 1.0), ScaledReal(-1, 3, 1.0)) == ZERO
+        out = vec_add(pack([(1, 3, 1.0)]), pack([(-1, 3, 1.0)]))
+        assert triple(out) == (0, 0, 1.0)
 
     def test_three_plus_one(self):
-        out = add(ScaledReal(1, 1, 1.5), ScaledReal(1, 0, 1.0))
-        assert out == ScaledReal(1, 2, 1.0)
+        out = vec_add(pack([(1, 1, 1.5)]), pack([(1, 0, 1.0)]))
+        assert triple(out) == (1, 2, 1.0)
 
-    @given(scaled_values, scaled_values)
-    def test_commutative_bitwise(self, a, b):
-        x = add(a, b)
-        y = add(b, a)
-        assert (x.sign, x.exponent, x.mantissa) == (y.sign, y.exponent, y.mantissa)
+    @given(st.lists(st.tuples(offset_triples, offset_triples), min_size=1, max_size=30), base_exponents)
+    def test_commutative_bitwise(self, pairs, base):
+        a = pack([x for x, _ in pairs], base)
+        b = pack([y for _, y in pairs], base)
+        x, y = vec_add(a, b), vec_add(b, a)
+        for u, v in zip(x, y):
+            assert np.array_equal(u, v)
 
-    @given(scaled_values)
-    def test_zero_identity(self, a):
-        assert add(a, ZERO) == a
-        assert add(ZERO, a) == a
+    @given(st.lists(offset_triples, min_size=1, max_size=30), base_exponents)
+    def test_zero_identity(self, triples, base):
+        a = pack(triples, base)
+        zero = pack([(0, 0, 1.0)] * len(triples))
+        for out in (vec_add(a, zero), vec_add(zero, a)):
+            for u, v in zip(out, a):
+                assert np.array_equal(u, v)
 
     @given(normal_floats, normal_floats)
     def test_matches_native_addition(self, x, y):
@@ -131,185 +181,184 @@ class TestAdd:
         z = x + y
         if not math.isfinite(z) or z == 0.0:
             return
-        out = add(from_real(x), from_real(y))
-        if out.sign == 0:
+        out = vec_add(one(x), one(y))
+        if out.sign[0] == 0:
             assert z == 0.0
             return
-        got = to_real(out)
-        assert math.isclose(got, z, rel_tol=4e-16)
+        assert math.isclose(vec_to_real(out)[0], z, rel_tol=4e-16)
 
 
 class TestSignedPow:
+    """The signed power map sgn(r) |r|**t of normalize_samples.
+
+    The II-signed normalization with mu = 0, v = 1/t and n = 1 is exactly
+    sgn(r) |r|**t, evaluated through ln|r| so r may lie far outside
+    native range.
+    """
+
+    MODEL = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -4.0), 0.5)))
+    REG = classify(analytic_moments(MODEL), MODEL)
+
+    def power(self, values: ScaledVector, t: float) -> np.ndarray:
+        reg = dataclasses.replace(self.REG, mu=0.0, v=1.0 / t)
+        return normalize_samples(reg, values, 1)
+
     def test_cube_root(self):
-        assert signed_pow(from_real(-8.0), 1.0 / 3.0) == pytest.approx(
-            -2.0, rel=1e-14
-        )
+        assert self.power(one(-8.0), 1.0 / 3.0)[0] == pytest.approx(-2.0, rel=1e-14)
 
     def test_zero_exponent(self):
-        assert signed_pow(from_real(-3.7), 0.0) == -1.0
-        assert signed_pow(from_real(3.7), 0.0) == 1.0
+        out = self.power(vec_from_real(np.array([-3.7, 3.7])), 1e-300)
+        assert out.tolist() == [-1.0, 1.0]
 
     def test_zero_base(self):
-        assert signed_pow(ZERO, 0.5) == 0.0
+        assert self.power(one(0.0), 0.5)[0] == 0.0
 
     def test_huge_value_small_exponent(self):
-        # |a| = e**400 (outside native range), a**(1/100) = e**4
-        import mpmath
-
-        a = from_log(400.0)
-        got = signed_pow(a, 0.01)
-        want = float(mpmath.exp(mpmath.mpf(400) / 100))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_range_error(self):
-        with pytest.raises(NativeRangeError):
-            signed_pow(from_log(1e6), 1000.0)
-
-    def test_non_finite_t(self):
-        with pytest.raises(InvalidInputError):
-            signed_pow(from_real(2.0), math.inf)
+        # |a| ~ e**400 (outside native range), a**(1/100) ~ e**4
+        a = vec_from_log(np.array([400.0]))
+        got = self.power(a, 0.01)[0]
+        with mpmath.workprec(200):
+            want = mpmath.exp(mpmath.log(mp_value(*triple(a))) / 100)
+        assert got == pytest.approx(float(want), rel=1e-13)
 
     @given(normal_floats.filter(lambda x: x != 0.0))
     def test_identity_exponent(self, x):
-        assert signed_pow(from_real(x), 1.0) == x
+        got = self.power(one(x), 1.0)[0]
+        assert math.isclose(got, x, rel_tol=4e-16 * (2.0 + abs(math.log(abs(x)))))
 
 
 class TestLogAbsToReal:
     def test_log_one(self):
-        assert log_abs(ScaledReal(1, 0, 1.0)) == 0.0
+        assert vec_log_abs(pack([(1, 0, 1.0)]))[0] == 0.0
 
     def test_log_eight(self):
-        assert log_abs(ScaledReal(-1, 3, 1.0)) == pytest.approx(
+        assert vec_log_abs(pack([(-1, 3, 1.0)]))[0] == pytest.approx(
             math.log(8.0), rel=1e-15
         )
 
     def test_log_large(self):
-        assert log_abs(ScaledReal(1, 1000, 1.0)) == pytest.approx(
+        assert vec_log_abs(pack([(1, 1000, 1.0)]))[0] == pytest.approx(
             1000 * math.log(2.0), rel=1e-15
         )
 
     def test_log_zero_rejected(self):
         with pytest.raises(DomainError):
-            log_abs(ZERO)
+            vec_log_abs(pack([(1, 0, 1.5), (0, 0, 1.0)]))
 
     def test_to_real_examples(self):
-        assert to_real(ScaledReal(1, 1, 1.5)) == 3.0
-        assert to_real(ZERO) == 0.0
+        assert vec_to_real(pack([(1, 1, 1.5), (0, 0, 1.0)])).tolist() == [3.0, 0.0]
 
     def test_to_real_range(self):
         with pytest.raises(NativeRangeError):
-            to_real(ScaledReal(1, 2000, 1.0))
+            vec_to_real(pack([(1, 2000, 1.0)]))
         with pytest.raises(NativeRangeError):
-            to_real(ScaledReal(1, -2000, 1.0))
+            vec_to_real(pack([(1, -2000, 1.0)]))
 
 
 class TestFromLog:
     def test_value_accuracy(self):
-        a = from_log(math.log(8.0))
-        assert a.sign == 1
-        assert to_real(a) == pytest.approx(8.0, rel=1e-14)
+        a = vec_from_log(np.array([math.log(8.0)]))
+        assert a.sign[0] == 1
+        assert vec_to_real(a)[0] == pytest.approx(8.0, rel=1e-14)
 
     def test_sign_passthrough(self):
-        assert from_log(0.0, sign=-1) == ScaledReal(-1, 0, 1.0)
-        assert from_log(123.0, sign=0) == ZERO
+        assert triple(vec_from_log(np.array([0.0]), sign=-1)) == (-1, 0, 1.0)
+        neg = vec_from_log(np.array([123.0, -5.0]), sign=-1)
+        pos = vec_from_log(np.array([123.0, -5.0]))
+        assert neg.sign.tolist() == [-1, -1]
+        assert np.array_equal(neg.exponent, pos.exponent)
+        assert np.array_equal(neg.mantissa, pos.mantissa)
 
     @given(st.floats(min_value=-500, max_value=500, allow_nan=False))
     def test_matches_exp(self, y):
-        a = from_log(y)
-        assert log_abs(a) == pytest.approx(y, rel=1e-13, abs=1e-13)
+        a = vec_from_log(np.array([y]))
+        with mpmath.workprec(200):
+            rel = abs(mp_value(*triple(a)) / mpmath.exp(y) - 1)
+        assert rel <= 4e-16 * (2.0 + abs(y))
 
 
 class TestHelpers:
+    """rho**-(n-1) for the Case I normalization: a squaring chain of
+    vec_mul followed by one reciprocal."""
+
     def test_pow_int(self):
-        assert to_real(pow_int(from_real(3.0), 4)) == pytest.approx(81.0, rel=1e-15)
-        assert pow_int(from_real(3.0), 0) == ScaledReal(1, 0, 1.0)
+        # 3**-4 = 1/81, within a few roundings of the exact value
+        got = exact(*triple(_rho_power_factor(3.0, 5)))
+        assert abs(got * 81 - 1) <= Fraction(1, 2**50)
+        assert triple(_rho_power_factor(3.0, 1)) == (1, 0, 1.0)
 
     def test_pow_int_negative_rejected(self):
         with pytest.raises(InvalidInputError):
-            pow_int(from_real(3.0), -1)
+            _rho_power_factor(3.0, 0)
 
     def test_reciprocal(self):
-        assert to_real(reciprocal(from_real(12.0))) == pytest.approx(
-            1.0 / 12.0, rel=1e-15
-        )
-        assert to_real(reciprocal(from_real(-0.25))) == -4.0
-        with pytest.raises(DomainError):
-            reciprocal(ZERO)
-
-    def test_invariant_validation(self):
-        with pytest.raises(InvalidInputError):
-            ScaledReal(1, 0, 2.5)
-        with pytest.raises(InvalidInputError):
-            ScaledReal(0, 1, 1.0)
-        with pytest.raises(InvalidInputError):
-            ScaledReal(2, 0, 1.5)
+        assert vec_to_real(_rho_power_factor(12.0, 2))[0] == float(Fraction(1, 12))
+        assert exact(*triple(_rho_power_factor(4.0, 4))) == Fraction(1, 64)
 
 
 class TestVectorEquivalence:
-    """The batched kernel must match the scalar ops bit for bit."""
-
-    @staticmethod
-    def _pack(values):
-        return ScaledVector(
-            np.array([v.sign for v in values], dtype=np.int8),
-            np.array([v.exponent for v in values], dtype=np.int64),
-            np.array([v.mantissa for v in values]),
-        )
+    """The batched kernel against exact Fraction and mpmath references."""
 
     @given(st.lists(normal_floats, min_size=1, max_size=50))
     def test_vec_from_real(self, xs):
         vv = vec_from_real(np.array(xs))
         for i, x in enumerate(xs):
-            assert vv.take(i) == from_real(x)
+            s, e, m = triple(vv, i)
+            assert exact(s, e, m) == Fraction(x)
+            assert s == 0 or 1.0 <= m < 2.0
 
     @given(
-        st.lists(
-            st.tuples(scaled_values, scaled_values), min_size=1, max_size=50
-        )
+        st.lists(st.tuples(offset_triples, offset_triples), min_size=1, max_size=50),
+        base_exponents,
     )
     @settings(max_examples=200)
-    def test_vec_mul_add_bitwise(self, pairs):
-        pairs = [
-            (a, b)
-            for a, b in pairs
-            if abs(a.exponent) < 2**50 and abs(b.exponent) < 2**50
-        ]
-        if not pairs:
-            return
-        av = self._pack([a for a, _ in pairs])
-        bv = self._pack([b for _, b in pairs])
-        vm = vec_mul(av, bv)
-        va = vec_add(av, bv)
+    def test_vec_mul_add_bitwise(self, pairs, base):
+        # exact values are taken relative to 2**base (2**(2 base) for
+        # products), which leaves the roundings unchanged
+        av = pack([a for a, _ in pairs], base)
+        bv = pack([b for _, b in pairs], base)
+        vm, va = vec_mul(av, bv), vec_add(av, bv)
         for i, (a, b) in enumerate(pairs):
-            sm = mul(a, b)
-            sa = add(a, b)
-            assert (vm.sign[i], vm.exponent[i], vm.mantissa[i]) == (
-                sm.sign,
-                sm.exponent,
-                sm.mantissa,
-            )
-            assert (va.sign[i], va.exponent[i], va.mantissa[i]) == (
-                sa.sign,
-                sa.exponent,
-                sa.mantissa,
-            )
+            x, y = exact(*a), exact(*b)
+            # the product is the correctly rounded exact product
+            s, e, m = triple(vm, i)
+            p = x * y
+            assert s == (p > 0) - (p < 0)
+            if s:
+                assert exact(s, e - 2 * base, m) == Fraction(float(p))
+                assert 1.0 <= m < 2.0
+            # the sum is within one ulp of the exact sum (half an ulp
+            # when the smaller operand is dominated, else correctly rounded)
+            s, e, m = triple(va, i)
+            total = x + y
+            if s == 0:
+                assert total == 0
+                continue
+            got = exact(s, e - base, m)
+            assert abs(got - total) <= Fraction(2) ** (e - base - 52)
+            if a[0] and b[0] and abs(a[1] - b[1]) <= 52:
+                assert got == Fraction(float(total))
 
     @given(st.lists(st.floats(min_value=-600, max_value=600), min_size=1, max_size=20))
     def test_vec_from_log(self, ys):
         vv = vec_from_log(np.array(ys))
-        for i, y in enumerate(ys):
-            assert vv.take(i) == from_log(y)
+        with mpmath.workprec(200):
+            for i, y in enumerate(ys):
+                s, e, m = triple(vv, i)
+                assert s == 1 and 1.0 <= m < 2.0
+                rel = abs(mp_value(s, e, m) / mpmath.exp(y) - 1)
+                assert rel <= 4e-16 * (2.0 + abs(y))
 
-    @given(st.lists(scaled_values.filter(lambda v: v.sign != 0), min_size=1, max_size=30))
-    def test_vec_log_abs(self, values):
-        vv = self._pack(values)
-        logs = vec_log_abs(vv)
-        for i, v in enumerate(values):
-            assert logs[i] == pytest.approx(log_abs(v), rel=1e-13, abs=1e-13)
+    @given(st.lists(offset_triples.filter(lambda t: t[0] != 0), min_size=1, max_size=30), base_exponents)
+    def test_vec_log_abs(self, triples, base):
+        logs = vec_log_abs(pack(triples, base))
+        with mpmath.workprec(200):
+            for got, (s, e, m) in zip(logs, triples):
+                want = mpmath.log(abs(mp_value(s, e + base, m)))
+                assert abs(mpmath.mpf(got) - want) <= 1e-15 * (1.0 + abs(float(want)))
 
     def test_vec_to_real(self):
-        values = [from_real(x) for x in (-3.0, 0.0, 0.5, 1e100)]
-        vv = self._pack(values)
+        vv = vec_from_real(np.array([-3.0, 0.0, 0.5, 1e100]))
         assert vec_to_real(vv).tolist() == [-3.0, 0.0, 0.5, 1e100]
         with pytest.raises(NativeRangeError):
-            vec_to_real(self._pack([ScaledReal(1, 2000, 1.0)]))
+            vec_to_real(pack([(1, 2000, 1.0)]))

@@ -1,10 +1,16 @@
-"""Engine: determinism, oracle agreement, moment recursion, sum form."""
+"""Engine: exact replays of single trajectories, oracles, sum form."""
 
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from perpsim.errors import (
     DomainError,
@@ -22,13 +28,12 @@ from perpsim.models import (
     ScaledRademacher,
     SignedUnit,
 )
-from perpsim.scaled import to_real
+from perpsim.scaled import vec_add, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 from perpsim.simulate import (
     enumerate_exact,
     exact_moments_recursion,
     run_batch,
     run_sum_form,
-    run_trajectory,
     trajectory_seed,
 )
 from perpsim.stats import dkw_bound, ks_two_sample
@@ -36,6 +41,8 @@ from perpsim.stats import dkw_bound, ks_two_sample
 POINT_MASS_12 = DiscreteJoint((((1.0, 2.0), 1.0),))
 FAIR_SIGN = DiscreteJoint((((1.0, 1.0), 0.5), ((1.0, -1.0), 0.5)))
 CASE_II = LogNormalPair(0.5, 1.0, QConstant(1.0))
+CASE_I_ASYM = ScaledRademacher(2.0, 0.7, QRademacher(0.7))
+CASE_III_CLT = LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0))
 
 
 def brute_force_law(model: DiscreteJoint, n: int) -> dict[float, float]:
@@ -51,51 +58,152 @@ def brute_force_law(model: DiscreteJoint, n: int) -> dict[float, float]:
     return law
 
 
+def contract_key(master_seed: int, index: int) -> int:
+    """splitmix64(master_seed + (index + 1) * 0x9E3779B97F4A7C15)."""
+    mask = (1 << 64) - 1
+    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def trajectory_uniforms(master_seed: int, index: int, n: int) -> np.ndarray:
+    """The (n, 2) uniforms of one trajectory, by the stream contract:
+    Philox keyed as in ``contract_key``, two uniforms per step (Q first,
+    then M), each shifted by 2**-54 into (0, 1)."""
+    gen = Generator(Philox(key=contract_key(master_seed, index)))
+    return gen.random((n, 2)) + 2.0**-54
+
+
+def exact_pair(model, u_q: float, u_m: float) -> tuple[Fraction, Fraction]:
+    """(Q, M) as Fractions, mapped from the two uniforms by the model's
+    definition (not by its scaled_draws)."""
+    if isinstance(model, DiscreteJoint):
+        # the Q-slot uniform picks the joint atom; the M-slot one is unused
+        cum = Fraction(0)
+        for (q, m), p in model.atoms:
+            cum += Fraction(p)
+            if Fraction(float(u_q)) < cum:
+                break
+        return Fraction(q), Fraction(m)
+    q_law = model.q_law
+    if isinstance(q_law, QConstant):
+        q = Fraction(q_law.value)
+    else:
+        q = Fraction(1 if u_q < q_law.p else -1)
+    if isinstance(model, ScaledRademacher):
+        m = Fraction(model.rho) * (1 if u_m < model.p else -1)
+    else:
+        m = Fraction(1 if u_m < model.p_m else -1)
+    return q, m
+
+
+def exact_paths(model, checkpoints, count, master_seed) -> dict[int, list[Fraction]]:
+    """R_n of each trajectory, iterated in exact rational arithmetic."""
+    out = {n: [] for n in checkpoints}
+    for i in range(count):
+        r = Fraction(0)
+        u = trajectory_uniforms(master_seed, i, checkpoints[-1])
+        for t, (u_q, u_m) in enumerate(u, start=1):
+            q, m = exact_pair(model, u_q, u_m)
+            r = q + m * r
+            if t in out:
+                out[t].append(r)
+    return out
+
+
+def engine_paths(model, checkpoints, count, master_seed) -> dict[int, list[Fraction]]:
+    batch = run_batch(model, checkpoints, count, master_seed)
+    return {n: [Fraction(x) for x in batch.to_reals(n)] for n in checkpoints}
+
+
 class TestRunTrajectory:
+    """Single trajectories: run_batch with count = 1."""
+
     def test_deterministic_doubling(self):
-        tr = run_trajectory(POINT_MASS_12, [1, 2, 3], seed=5)
-        assert [to_real(p.r) for p in tr.points] == [1.0, 3.0, 7.0]
+        batch = run_batch(POINT_MASS_12, [1, 2, 3], 1, master_seed=5)
+        assert [batch.to_reals(n)[0] for n in (1, 2, 3)] == [1.0, 3.0, 7.0]
 
     def test_zero_q(self):
         model = DiscreteJoint((((0.0, 2.0), 1.0),))
-        tr = run_trajectory(model, [10], seed=5)
-        assert to_real(tr.points[0].r) == 0.0
+        assert run_batch(model, [10], 1, master_seed=5).to_reals(10)[0] == 0.0
 
-    def test_pure_accumulation_long(self):
-        model = DiscreteJoint((((1.0, 1.0), 1.0),))
-        tr = run_trajectory(model, [1_000_000], seed=5)
-        assert to_real(tr.points[0].r) == 1_000_000.0
+    @given(st.integers(min_value=0, max_value=2**53 - 1))
+    @example(10**6 - 1)
+    @example(2**53 - 1)
+    def test_pure_accumulation_long(self, k):
+        # one step of R = 1 + 1 * R from R = k is exact for every k < 2**53,
+        # so 10**6 unit accumulations end exactly at 10**6
+        one = vec_from_real(np.array([1.0]))
+        r = vec_from_real(np.array([float(k)]))
+        out = vec_add(one, vec_mul(one, r))
+        s, e, m = int(out.sign[0]), int(out.exponent[0]), float(out.mantissa[0])
+        assert s * Fraction(m) * Fraction(2) ** e == k + 1
 
     def test_same_seed_same_path(self):
-        a = run_trajectory(CASE_II, [50], seed=11)
-        b = run_trajectory(CASE_II, [50], seed=11)
-        assert a.points[0].r == b.points[0].r
+        a = run_batch(CASE_II, [50], 1, master_seed=11).vectors(50)
+        b = run_batch(CASE_II, [50], 1, master_seed=11).vectors(50)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_checkpoint_validation(self):
         with pytest.raises(InvalidInputError):
-            run_trajectory(CASE_II, [], seed=1)
+            run_batch(CASE_II, [], 1, master_seed=1)
         with pytest.raises(InvalidInputError):
-            run_trajectory(CASE_II, [5, 5], seed=1)
+            run_batch(CASE_II, [5, 5], 1, master_seed=1)
         with pytest.raises(InvalidInputError):
-            run_trajectory(CASE_II, [0], seed=1)
+            run_batch(CASE_II, [0], 1, master_seed=1)
 
     def test_track_w_needs_positive_model(self):
         with pytest.raises(InvalidArgumentsError):
-            run_trajectory(FAIR_SIGN, [5], seed=1, track_w=True)
+            run_batch(FAIR_SIGN, [5], 1, master_seed=1, track_w=True)
 
 
 class TestRunBatch:
     def test_n1_matches_trajectory(self):
-        batch = run_batch(CASE_II, [5, 25], 1, master_seed=321)
-        tr = run_trajectory(CASE_II, [5, 25], trajectory_seed(321, 0))
-        for j, n in enumerate((5, 25)):
-            assert batch.vectors(n).take(0) == tr.points[j].r
+        cps = [5, 45]
+        assert engine_paths(CASE_I_ASYM, cps, 1, 321) == exact_paths(CASE_I_ASYM, cps, 1, 321)
 
     def test_every_index_matches_trajectory(self):
-        batch = run_batch(CASE_II, [30], 10, master_seed=77)
-        for i in range(10):
-            tr = run_trajectory(CASE_II, [30], trajectory_seed(77, i))
-            assert batch.vectors(30).take(i) == tr.points[0].r
+        # Case I rho = 2 with +-1 draws keeps R_n an integer below 2**46, so
+        # every engine step is exact and must equal the rational recursion
+        cps = [1, 20, 45]
+        assert engine_paths(CASE_I_ASYM, cps, 300, 77) == exact_paths(CASE_I_ASYM, cps, 300, 77)
+
+    @pytest.mark.parametrize(
+        "model,cps,count",
+        [
+            # Case IV; 600 steps cross the engine's 256-step stream refills
+            (SignedUnit(0.6, QRademacher(0.3)), [255, 256, 257, 600], 40),
+            (SignedUnit(0.75, QConstant(3.0)), [600], 20),
+            (FAIR_SIGN, [300], 20),
+            # dyadic atoms stay exact in doubles for a dozen steps
+            (DiscreteJoint((((1.0, 2.0), 0.3), ((-1.0, 0.5), 0.4), ((2.0, -1.5), 0.3))), [6, 12], 100),
+        ],
+    )
+    def test_exact_rational_replay(self, model, cps, count):
+        assert engine_paths(model, cps, count, 515) == exact_paths(model, cps, count, 515)
+
+    @pytest.mark.parametrize("model", [CASE_III_CLT, CASE_II])
+    def test_lognormal_replay_against_mpmath(self, model):
+        # ln|R_n| at n = 2000 against the recursion in 200-bit arithmetic,
+        # Q = e^Y and M = e^X taken from each trajectory's own uniforms
+        n, count, seed = 2000, 8, 31
+        got = vec_log_abs(run_batch(model, [n], count, seed).vectors(n))
+        q_law = model.q_law
+        for i in range(count):
+            u = trajectory_uniforms(seed, i, n)
+            x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
+            if isinstance(q_law, QLogNormal):
+                y = q_law.mean + math.sqrt(q_law.var) * ndtri(u[:, 0])
+            else:
+                y = np.full(n, math.log(q_law.value))
+            with mpmath.workprec(200):
+                r = mpmath.mpf(0)
+                for y_t, x_t in zip(y.tolist(), x.tolist()):
+                    r = mpmath.exp(y_t) + mpmath.exp(x_t) * r
+                want = mpmath.log(r)
+                assert abs(mpmath.mpf(got[i]) - want) <= 1e-12 * abs(want)
 
     def test_worker_count_invariance(self):
         a = run_batch(CASE_II, [40], 4500, master_seed=13, workers=1)
@@ -120,9 +228,9 @@ class TestRunBatch:
 
     def test_samples_accessor(self):
         batch = run_batch(FAIR_SIGN, [3], 8, master_seed=1)
-        values = batch.samples(3)
+        values = batch.vectors(3)
         assert len(values) == 8
-        assert [to_real(v) for v in values] == batch.to_reals(3).tolist()
+        assert vec_to_real(values).tolist() == batch.to_reals(3).tolist()
 
 
 class TestEnumerateExact:
