@@ -51,9 +51,8 @@ from .simulate import (
     exact_moments_recursion,
     reference_seed,
     run_batch,
-    run_sum_form,
     trajectory_seed,
 )
-from .stats import Ecdf, Summary, dkw_bound, ks_one_sample, ks_two_sample, qq_points, summary
+from .stats import Summary, dkw_bound, ks_one_sample, ks_two_sample, summary
 
 __version__ = "0.1.0"

@@ -31,6 +31,7 @@ from . import limits as lim
 from .config import RunConfig, load_config, resolved_dict
 from .errors import (
     ConfigError,
+    DomainError,
     InvalidInputError,
     InvalidModelError,
     NativeRangeError,
@@ -53,7 +54,14 @@ from .simulate import (
 )
 from .stats import dkw_bound, ks_one_sample, ks_two_sample, summary
 
-__all__ = ["main", "cmd_classify", "cmd_verify", "cmd_oracle", "cmd_sample"]
+__all__ = [
+    "main",
+    "cmd_classify",
+    "cmd_verify",
+    "cmd_oracle",
+    "cmd_sample",
+    "verification_rows",
+]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -139,8 +147,9 @@ def cmd_classify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     return EXIT_PASS
 
 
-def _verification_rows(cfg: RunConfig, regime: RegimeReport):
-    """Shared simulate -> normalize -> compare loop for verify/sample."""
+def verification_rows(cfg: RunConfig, regime: RegimeReport):
+    """The simulate -> normalize -> compare loop shared by verify, sample
+    and ``scripts/ks_convergence.py``: (law, series_terms, rows, samples)."""
     law = lim.limit_for(regime, cfg.model)
     track_w = regime.case.startswith("III")
     batch = run_batch(
@@ -200,7 +209,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             print(f"case {regime.case}: nothing to verify. {regime.note}")
         return EXIT_UNSUPPORTED
 
-    law, series, rows, _ = _verification_rows(cfg, regime)
+    law, series, rows, _ = verification_rows(cfg, regime)
     threshold = cfg.ks_threshold
     threshold_source = "config"
     if threshold is None:
@@ -260,10 +269,6 @@ def _discrete_deviation(values: np.ndarray, exact) -> float:
     return float(max(dev_at.max(), dev_before.max()))
 
 
-def _is_unit_magnitude(model: DiscreteJoint) -> bool:
-    return all(abs(abs(m) - 1.0) <= 1e-12 for (_, m), p in model.atoms if p > 0)
-
-
 def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     model = cfg.model
     if not isinstance(model, DiscreteJoint):
@@ -277,9 +282,10 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     # on correct code with probability at most 1%
     delta = 0.01 / len(cfg.checkpoints)
     bound = dkw_bound(cfg.samples, delta)
-    check_moments = _is_unit_magnitude(model) and -1.0 + 1e-12 < analytic_moments(
-        model
-    ).mean_m < 1.0 - 1e-12
+    try:
+        recursion = {n: exact_moments_recursion(model, n) for n in cfg.checkpoints}
+    except DomainError:  # the moment recursion needs |M| = 1 and -1 < EM < 1
+        recursion = None
 
     rows = []
     csv_rows = []
@@ -301,8 +307,8 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             "exact_variance": exact.variance(),
             "N": cfg.samples,
         }
-        if check_moments:
-            rec_mean, rec_var = exact_moments_recursion(model, n)
+        if recursion is not None:
+            rec_mean, rec_var = recursion[n]
             row["recursion_mean"] = rec_mean
             row["recursion_variance"] = rec_var
             row["recursion_vs_enumeration"] = max(
@@ -340,7 +346,7 @@ def cmd_sample(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             },
         )
         return EXIT_UNSUPPORTED
-    law, series, rows, sample_sets = _verification_rows(cfg, regime)
+    law, series, rows, sample_sets = verification_rows(cfg, regime)
     for n, values in sample_sets.items():
         _write_csv(out / f"samples_n{n}.csv", ["value"], [[v] for v in values])
     _write_json(

@@ -2,9 +2,9 @@
 
 Silent typos in distribution parameters would invalidate statistical
 conclusions, so parsing is strict: unknown keys anywhere in the tree are
-rejected, as are missing required fields. The resolved configuration
-(defaults included) is echoed into every run's manifest so runs are
-self-describing.
+rejected, as are missing required fields and non-finite numbers. The
+resolved configuration (defaults included) is echoed into every run's
+manifest so runs are self-describing.
 
 Schema (JSON object)::
 
@@ -38,6 +38,7 @@ Q laws::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,7 +84,13 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str])
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{where} must be a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # integer literal past float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {obj!r}")
+    return value
 
 
 def _integer(obj, where: str) -> int:

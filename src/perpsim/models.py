@@ -696,8 +696,8 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
 def tail_quantile(model: PairModel, n: int) -> float:
     """gamma_n = inf{t : P(Y > t) <= 1/n} for the declared Q tail.
 
-    Closed form for the Pareto family; geometric bracketing plus
-    bisection (1e-10 relative) for the boundary families.
+    Closed form for the Pareto family; for the boundary families, the
+    same bracketing bisection that draws Q (64 halvings of the bracket).
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -705,19 +705,9 @@ def tail_quantile(model: PairModel, n: int) -> float:
     if isinstance(q_law, QLogPareto):
         return q_law.tail_quantile(n)
     if isinstance(q_law, QLogBoundary):
-        target = 1.0 / n
-        if float(q_law.tail(q_law.t0)) <= target:
+        if float(q_law.tail(q_law.t0)) <= 1.0 / n:
             return q_law.t0
-        lo, hi = q_law.t0, 2.0 * q_law.t0
-        while float(q_law.tail(hi)) > target:
-            lo, hi = hi, hi * 2.0
-        while hi - lo > 1e-10 * hi:
-            mid = 0.5 * (lo + hi)
-            if float(q_law.tail(mid)) > target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(q_law._invert_tail(1.0 / n))
     raise UnsupportedError(
         f"{type(model).__name__} declares no tail function for Q"
     )

@@ -2,9 +2,9 @@
 
 Each regime carries its own map:
 
-* Case I    r / rho**(n-1), computed in scaled arithmetic (an exact
-  exponent shift when rho = 2, otherwise one multiply by rho**-(n-1),
-  itself a squaring chain of ``vec_mul`` and one reciprocal),
+* Case I    r / rho**(n-1), computed in scaled arithmetic as one multiply
+  by rho**-(n-1), itself a squaring chain of ``vec_mul`` and one
+  reciprocal (exact when rho is a power of two),
 * Case II   sgn(r) |r|**(1/(v sqrt n)) / exp(mu sqrt n / v), with the
   sign kept only in the signed sub-case,
 * Case III  |r|**(1/(v sqrt n)) for the random-walk sub-cases and
@@ -91,13 +91,6 @@ def normalize_samples(
     case = regime.case
     sign = values.sign
     if case in ("I-sym", "I-asym"):
-        if regime.rho == 2.0:
-            shifted = ScaledVector(
-                sign,
-                np.where(sign == 0, 0, values.exponent - (n - 1)),
-                values.mantissa,
-            )
-            return _native_vec(shifted)
         return _native_vec(vec_mul(values, _rho_power_factor(regime.rho, n)))
     if case == "IV":
         return _native_vec(values) / math.sqrt(n)

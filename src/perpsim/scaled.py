@@ -59,9 +59,6 @@ class ScaledVector(NamedTuple):
     exponent: np.ndarray
     mantissa: np.ndarray
 
-    def __len__(self) -> int:
-        return self.sign.shape[0]
-
 
 def vec_from_real(x: np.ndarray) -> ScaledVector:
     x = np.asarray(x, dtype=np.float64)

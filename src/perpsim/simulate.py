@@ -14,14 +14,11 @@ is bit-identical for any ``workers`` setting; results are gathered in
 trajectory order.
 
 The per-trajectory recursion runs entirely in scaled arithmetic, one
-``vec_*`` operation per step for a whole block of trajectories. The tests
-replay single trajectories from their own streams in exact rational and
-mpmath arithmetic and compare them with ``run_batch``.
-
-The sum-form sampler (S_n = sum of Q_k * prod_{j<k} M_j, equal to R_n
-in law after reversing the driving sequence) is kept as a test-only
-cross-check of the engine; the recursion form is the default because it
-carries O(1) state.
+``vec_*`` operation per step for a whole block of trajectories. With
+``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j, a Case III
+diagnostic, in native floats. The tests replay single trajectories from
+their own streams in exact rational and mpmath arithmetic and compare
+them with ``run_batch``.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ __all__ = [
     "trajectory_seed",
     "reference_seed",
     "run_batch",
-    "run_sum_form",
     "enumerate_exact",
     "exact_moments_recursion",
 ]
@@ -149,7 +145,6 @@ def _run_block(
     hi: int,
     master_seed: int,
     track_w: bool,
-    sum_form: bool,
 ):
     """Vectorized kernel for trajectories [lo, hi); returns snapshots."""
     B = hi - lo
@@ -159,9 +154,6 @@ def _run_block(
     ]
     r = ScaledVector(
         np.zeros(B, np.int8), np.zeros(B, np.int64), np.ones(B)
-    )
-    prod = ScaledVector(
-        np.ones(B, np.int8), np.zeros(B, np.int64), np.ones(B)
     )
     w = np.full(B, -np.inf)
     logprod = np.zeros(B)
@@ -185,11 +177,7 @@ def _run_block(
         for j in range(c):
             q_j = ScaledVector(qv.sign[j], qv.exponent[j], qv.mantissa[j])
             m_j = ScaledVector(mv.sign[j], mv.exponent[j], mv.mantissa[j])
-            if sum_form:
-                r = vec_add(r, vec_mul(q_j, prod))
-                prod = vec_mul(prod, m_j)
-            else:
-                r = vec_add(q_j, vec_mul(m_j, r))
+            r = vec_add(q_j, vec_mul(m_j, r))
             if track_w:
                 np.maximum(w, ql[j] + logprod, out=w)
                 logprod += ml[j]
@@ -217,7 +205,6 @@ def run_batch(
     master_seed: int,
     workers: int = 1,
     track_w: bool = False,
-    _sum_form: bool = False,
 ) -> BatchResult:
     """N independent trajectories; output independent of worker count."""
     cps = _validate_checkpoints(checkpoints)
@@ -227,10 +214,7 @@ def run_batch(
         _require_positive_for_w(model)
 
     blocks = [(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
-    args = [
-        (model, cps, lo, hi, master_seed, track_w, _sum_form)
-        for lo, hi in blocks
-    ]
+    args = [(model, cps, lo, hi, master_seed, track_w) for lo, hi in blocks]
     if workers <= 1 or len(blocks) == 1:
         results = [_run_block(*a) for a in args]
     else:
@@ -249,31 +233,6 @@ def run_batch(
         if track_w:
             w_logs[n] = np.concatenate([ws[n] for _, ws in results])
     return BatchResult(cps, count, master_seed, vectors, w_logs)
-
-
-def run_sum_form(
-    model: PairModel,
-    n: int,
-    count: int,
-    master_seed: int,
-    workers: int = 1,
-    track_w: bool = False,
-) -> BatchResult:
-    """Sample S_n = sum of Q_k prod_{j<k} M_j; equal in law to R_n.
-
-    Unlike the recursion form, the running maximum W_n shares its
-    prefix products with S_n, so W_n <= S_n <= n W_n holds pathwise
-    here (for positive models), not just in law.
-    """
-    return run_batch(
-        model,
-        [n],
-        count,
-        master_seed,
-        workers=workers,
-        track_w=track_w,
-        _sum_form=True,
-    )
 
 
 # ---------------------------------------------------------------------------

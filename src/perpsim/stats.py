@@ -1,4 +1,4 @@
-"""Empirical-distribution machinery: ECDF, KS distances, DKW bounds, QQ points.
+"""Empirical-distribution machinery: KS distances, DKW bounds, summaries.
 
 Only the KS statistic is computed, never p-values: acceptance thresholds
 throughout the project are set from the DKW inequality plus explicit
@@ -16,34 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = [
-    "Ecdf",
-    "Summary",
-    "ks_one_sample",
-    "ks_two_sample",
-    "dkw_bound",
-    "qq_points",
-    "summary",
-]
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF over a sorted sample."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "Ecdf":
-        arr = np.sort(np.asarray(samples, dtype=float))
-        if arr.size == 0:
-            raise InvalidInputError("empty sample set")
-        return cls(arr)
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        out = idx / self.values.size
-        return float(out) if np.asarray(x).ndim == 0 else out
+__all__ = ["Summary", "ks_one_sample", "ks_two_sample", "dkw_bound", "summary"]
 
 
 def _as_sorted(samples) -> np.ndarray:
@@ -83,60 +56,6 @@ def dkw_bound(n: int, delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise InvalidInputError("delta must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-
-
-def _invert_cdf(cdf: Callable, level: float) -> float:
-    """Leftmost x with F(x) >= level, by bracketing plus bisection."""
-    lo, hi = -1.0, 1.0
-    while float(cdf(np.asarray(hi))) < level:
-        hi = hi * 2.0 + 1.0
-    while float(cdf(np.asarray(lo))) >= level:
-        lo = lo * 2.0 - 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(cdf(np.asarray(mid))) >= level:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
-
-
-def _empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
-    # leftmost order statistic at or past the level (inverse-ECDF rule)
-    n = sorted_values.size
-    idx = max(math.ceil(level * n) - 1, 0)
-    return float(sorted_values[idx])
-
-
-def qq_points(
-    samples,
-    reference,
-    k: int,
-) -> list[tuple[float, float]]:
-    """k pairs (empirical quantile, reference quantile) at levels i/(k+1).
-
-    ``reference`` is either a CDF callable (inverted by bisection,
-    leftmost root on flat regions) or a reference sample whose order
-    statistics are used directly.
-    """
-    if k < 2:
-        raise InvalidInputError("qq_points needs k >= 2")
-    xs = _as_sorted(samples)
-    ref_samples = None
-    if not callable(reference):
-        ref_samples = _as_sorted(reference)
-    points = []
-    for i in range(1, k + 1):
-        level = i / (k + 1)
-        emp = _empirical_quantile(xs, level)
-        if ref_samples is not None:
-            ref = _empirical_quantile(ref_samples, level)
-        else:
-            ref = _invert_cdf(reference, level)
-        points.append((emp, ref))
-    return points
 
 
 @dataclass(frozen=True)

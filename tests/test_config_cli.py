@@ -82,6 +82,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(base_config(samples=True))
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["inf", "-inf", "nan", "int_past_float_range"],
+    )
+    def test_non_finite_numbers_rejected(self, value):
+        bad = base_config()
+        bad["model"]["rho"] = value
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(bad)
+
     def test_signed_unit_model(self):
         cfg = parse_config(
             base_config(
@@ -149,6 +160,17 @@ class TestClassifyCommand:
         code = main(["classify", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("q", [float("inf"), float("nan")])
+    def test_non_finite_atom_exits_two(self, tmp_path, q):
+        cfg = base_config(
+            model={"family": "discrete_joint", "atoms": [[q, 2.0, 0.5], [1.0, -2.0, 0.5]]}
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        code = main(["classify", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert not (out / "report.json").exists()
+
     def test_constant_m_exits_two(self, tmp_path):
         cfg = base_config(
             model={"family": "discrete_joint", "atoms": [[1.0, 2.0, 1.0]]}
@@ -183,6 +205,14 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert (out / "checkpoints.csv").exists()  # report still written
+
+    @pytest.mark.parametrize("field", ["ks_threshold", "monotone_slack"])
+    def test_nan_gate_exits_two(self, tmp_path, field):
+        path = write_config(tmp_path, base_config(samples=2000, **{field: float("nan")}))
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert not (out / "report.json").exists()
 
     def test_convergent_exits_three(self, tmp_path):
         cfg = base_config(
@@ -292,6 +322,21 @@ class TestOracleCommand:
         code = main(["oracle", "--config", str(path), "--out", str(out), "--quiet"])
         assert code == 1
         assert json.loads((out / "report.json").read_text())["passed"] is False
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [[1.0, 2.0, 0.5], [1.0, -2.0, 0.5]],  # |M| = 2
+            [[1.0, 1.0, 1.0]],  # EM = 1
+        ],
+    )
+    def test_moment_recursion_only_where_it_applies(self, tmp_path, atoms):
+        model = {"family": "discrete_joint", "atoms": atoms}
+        path = write_config(tmp_path, self.oracle_config(model=model, samples=2000))
+        out = tmp_path / "out"
+        main(["oracle", "--config", str(path), "--out", str(out), "--quiet"])
+        rows = json.loads((out / "report.json").read_text())["checkpoints"]
+        assert not any("recursion_mean" in row for row in rows)
 
     def test_non_discrete_exits_two(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -69,7 +69,7 @@ def mp_reference(regime, sign, exponent, mantissa, n, gamma_n=None):
 
 def assert_matches_mpmath(regime, values: ScaledVector, n, gamma_n=None, rel=1e-12):
     got = normalize_samples(regime, values, n, gamma_n)
-    for i in range(len(values)):
+    for i in range(values.sign.size):
         s, e, m = int(values.sign[i]), int(values.exponent[i]), float(values.mantissa[i])
         want = float(mp_reference(regime, s, e, m, n, gamma_n))
         assert got[i] == pytest.approx(want, rel=rel, abs=1e-300), (regime.case, i)

@@ -93,19 +93,6 @@ class TestBoundaryVanishing:
 
 
 class TestWLogDiagnostic:
-    def test_w_dominates_sum_form_pathwise(self):
-        # the running max shares prefix products with S_n, so
-        # W_n <= S_n <= n W_n holds path by path there
-        from perpsim.simulate import run_sum_form
-
-        model = LogNormalPair(0.0, 1.0, QLogBoundary("growing", 2.0))
-        batch = run_sum_form(model, 200, 300, 904, track_w=True)
-        w = batch.w_log(200)
-        vec = batch.vectors(200)
-        s_log = vec.exponent * np.log(2.0) + np.log(vec.mantissa)
-        assert np.all(w <= s_log + 1e-9)
-        assert np.all(s_log <= w + np.log(200.0) + 1e-9)
-
     def test_normalized_w_tracks_same_limit(self):
         # in the recursion form W_n is a diagnostic in law: its power
         # map converges to the same limit as the normalized R_n

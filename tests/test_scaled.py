@@ -75,6 +75,15 @@ def one(x: float) -> ScaledVector:
     return vec_from_real(np.array([x]))
 
 
+class TestScaledVector:
+    def test_replace_any_batch_size(self):
+        # a NamedTuple of three fields: its length is 3 whatever the batch size
+        v = vec_from_real(np.array([1.0, -2.0, 3.0, 0.5]))
+        flipped = v._replace(sign=-v.sign)
+        assert vec_to_real(flipped).tolist() == [-1.0, 2.0, -3.0, -0.5]
+        assert len(v) == 3
+
+
 class TestFromReal:
     def test_zero(self):
         assert triple(one(0.0)) == (0, 0, 1.0)
@@ -294,6 +303,11 @@ class TestHelpers:
     def test_reciprocal(self):
         assert vec_to_real(_rho_power_factor(12.0, 2))[0] == float(Fraction(1, 12))
         assert exact(*triple(_rho_power_factor(4.0, 4))) == Fraction(1, 64)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 40, 60, 1100])
+    def test_power_of_two_is_exponent_shift(self, n):
+        # at rho = 2 the Case I map r / 2**(n-1) is exact in scaled arithmetic
+        assert triple(_rho_power_factor(2.0, n)) == (1, -(n - 1), 1.0)
 
 
 class TestVectorEquivalence:

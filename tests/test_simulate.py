@@ -1,4 +1,4 @@
-"""Engine: exact replays of single trajectories, oracles, sum form."""
+"""Engine: exact replays of single trajectories, the W_n diagnostic, oracles."""
 
 import itertools
 import math
@@ -33,10 +33,9 @@ from perpsim.simulate import (
     enumerate_exact,
     exact_moments_recursion,
     run_batch,
-    run_sum_form,
     trajectory_seed,
 )
-from perpsim.stats import dkw_bound, ks_two_sample
+from perpsim.stats import dkw_bound
 
 POINT_MASS_12 = DiscreteJoint((((1.0, 2.0), 1.0),))
 FAIR_SIGN = DiscreteJoint((((1.0, 1.0), 0.5), ((1.0, -1.0), 0.5)))
@@ -226,10 +225,43 @@ class TestRunBatch:
         w = np.stack([batch.w_log(n) for n in cps])
         assert np.all(np.diff(w, axis=0) >= 0.0)
 
+    def test_w_log_exact_replay(self):
+        # W_n = ln max_k Q_k prod_{j<k} M_j, the largest term of the sum form,
+        # rebuilt in exact rationals from each trajectory's own stream;
+        # 300 steps cross the engine's 256-step stream refills
+        model = DiscreteJoint((((2.0, 2.0), 0.5), ((1.0, 0.5), 0.3), ((3.0, 1.5), 0.2)))
+        cps, count, seed = [1, 12, 256, 300], 100, 77
+        batch = run_batch(model, cps, count, seed, track_w=True)
+        for i in range(count):
+            u = trajectory_uniforms(seed, i, cps[-1])
+            prod, w = Fraction(1), Fraction(0)
+            for t, (u_q, u_m) in enumerate(u, start=1):
+                q, m = exact_pair(model, u_q, u_m)
+                w = max(w, q * prod)
+                prod *= m
+                if t in cps:
+                    want = math.log(w.numerator) - math.log(w.denominator)
+                    assert abs(batch.w_log(t)[i] - want) <= 1e-12
+
+    def test_w_log_replay_iii_clt(self):
+        # the same diagnostic for III-clt: Q = e^Y and M = e^X mapped from the
+        # stream through ndtri, each prefix sum of X correctly rounded by fsum
+        model, q_law = CASE_III_CLT, CASE_III_CLT.q_law
+        cps, count, seed = [1, 50, 256, 400], 16, 93
+        batch = run_batch(model, cps, count, seed, track_w=True)
+        for i in range(count):
+            u = trajectory_uniforms(seed, i, cps[-1])
+            y = q_law.mean + math.sqrt(q_law.var) * ndtri(u[:, 0])
+            x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
+            log_prod = [math.fsum(x[:k]) for k in range(cps[-1])]
+            for n in cps:
+                want = max(y[k] + log_prod[k] for k in range(n))
+                assert abs(batch.w_log(n)[i] - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_samples_accessor(self):
         batch = run_batch(FAIR_SIGN, [3], 8, master_seed=1)
         values = batch.vectors(3)
-        assert len(values) == 8
+        assert values.sign.size == 8
         assert vec_to_real(values).tolist() == batch.to_reals(3).tolist()
 
 
@@ -338,21 +370,6 @@ class TestDistributionalIdentity:
             cum = np.cumsum(law.probs)
             ecdf = np.searchsorted(values, law.values + 1e-9) / n_samples
             assert np.abs(ecdf - cum).max() <= bound
-
-    def test_sum_form_same_law(self):
-        sf = run_sum_form(CASE_II, 15, 20_000, master_seed=41)
-        rc = run_batch(CASE_II, [15], 20_000, master_seed=42)
-        a = np.log(np.abs(sf.to_reals(15)))
-        b = np.log(np.abs(rc.to_reals(15)))
-        assert ks_two_sample(a, b) < 0.02
-
-    def test_sum_form_tracks_w_pathwise(self):
-        model = DiscreteJoint((((2.0, 2.0), 0.5), ((1.0, 0.5), 0.5)))
-        batch = run_sum_form(model, 12, 200, 77, track_w=True)
-        w = batch.w_log(12)
-        s = np.log(batch.to_reals(12))
-        assert np.all(w <= s + 1e-12)
-        assert np.all(s <= w + math.log(12.0) + 1e-12)
 
 
 class TestSeedDerivation:

@@ -1,4 +1,4 @@
-"""ECDF machinery: KS statistics, DKW bounds, quantile pairs, summaries."""
+"""KS statistics, DKW bounds, summaries."""
 
 import math
 
@@ -10,11 +10,9 @@ from numpy.random import Generator, Philox
 
 from perpsim.errors import InvalidInputError
 from perpsim.stats import (
-    Ecdf,
     dkw_bound,
     ks_one_sample,
     ks_two_sample,
-    qq_points,
     summary,
 )
 
@@ -25,19 +23,6 @@ sample_lists = st.lists(
 
 def uniform_cdf(x):
     return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-
-
-class TestEcdf:
-    def test_evaluation(self):
-        e = Ecdf.from_samples([3.0, 1.0, 2.0])
-        assert e(0.5) == 0.0
-        assert e(1.0) == pytest.approx(1 / 3)
-        assert e(2.5) == pytest.approx(2 / 3)
-        assert e(9.0) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Ecdf.from_samples([])
 
 
 class TestKsOneSample:
@@ -108,44 +93,6 @@ class TestDkwBound:
             dkw_bound(0, 0.5)
         with pytest.raises(InvalidInputError):
             dkw_bound(10, 0.0)
-
-
-class TestQqPoints:
-    def test_uniform_grid(self):
-        pts = qq_points(np.linspace(0, 1, 1001), uniform_cdf, 3)
-        refs = [r for _, r in pts]
-        assert refs == pytest.approx([0.25, 0.5, 0.75], abs=1e-9)
-
-    def test_k_must_exceed_one(self):
-        with pytest.raises(InvalidInputError):
-            qq_points([1.0, 2.0], uniform_cdf, 1)
-
-    def test_self_consistency(self):
-        g = Generator(Philox(key=3))
-        n = 20_000
-        samples = g.random(n)
-        pts = qq_points(samples, uniform_cdf, 19)
-        dev = max(abs(e - r) for e, r in pts)
-        assert dev < 3 * dkw_bound(n, 0.01)
-
-    def test_reference_samples(self):
-        g = Generator(Philox(key=4))
-        a, b = g.random(5000), g.random(5000)
-        pts = qq_points(a, b, 9)
-        dev = max(abs(e - r) for e, r in pts)
-        assert dev < 0.05
-
-    def test_flat_cdf_leftmost_root(self):
-        def flat(x):
-            # jumps to 0.5 on [0, 1), then to 1 at 1
-            x = np.asarray(x, dtype=float)
-            return np.where(x >= 1.0, 1.0, np.where(x >= 0.0, 0.5, 0.0))
-
-        pts = qq_points([0.1, 0.9], flat, 3)
-        # level 0.25 and 0.5 both invert to the leftmost root 0
-        assert pts[0][1] == pytest.approx(0.0, abs=1e-9)
-        assert pts[1][1] == pytest.approx(0.0, abs=1e-9)
-        assert pts[2][1] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSummary:
