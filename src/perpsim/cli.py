@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,14 +73,30 @@ _GAMMA_CASES = ("III-evt", "III-boundary-growing")
 
 
 def _fmt(x) -> str:
-    """Full-precision decimal for CSV cells; empty for absent values."""
+    """Full-precision decimal for CSV cells; integers as integers; empty
+    for absent values."""
     if x is None:
         return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return repr(float(x))
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    """Strict JSON: a NaN or inf that reaches here raises ValueError."""
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
+def _json_rows(rows: list[dict]) -> list[dict]:
+    """Checkpoint rows for report.json. The mean and variance of samples
+    with an infinite value (III-evt has some) are not finite: null."""
+    return [
+        {
+            key: None if key in ("mean", "variance") and not math.isfinite(v) else v
+            for key, v in row.items()
+        }
+        for row in rows
+    ]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -235,7 +252,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
         "threshold": threshold,
         "threshold_source": threshold_source,
         "monotone_slack": cfg.monotone_slack,
-        "checkpoints": rows,
+        "checkpoints": _json_rows(rows),
         "monotone_ok": monotone_ok,
         "final_ks": ks_values[-1],
         "final_ok": final_ok,
@@ -355,7 +372,7 @@ def cmd_sample(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             "command": "sample",
             "regime": _regime_dict(regime, moments),
             "limit": lim.label(law),
-            "checkpoints": rows,
+            "checkpoints": _json_rows(rows),
         },
     )
     if not quiet:

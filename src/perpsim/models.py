@@ -83,7 +83,9 @@ class QConstant:
             raise InvalidModelError("constant Q must be finite")
 
     def draws(self, u: np.ndarray) -> ScaledVector:
-        return vec_from_real(np.full(u.shape, self.value))
+        # one decomposition, broadcast read-only to the shape of u
+        one = vec_from_real(np.array([self.value]))
+        return ScaledVector(*(np.broadcast_to(a, u.shape) for a in one))
 
     def moments(self) -> tuple[float, float]:
         return self.value, self.value * self.value

@@ -4,7 +4,11 @@ In the expanding regimes the recursion R_n = Q_n + M_n R_{n-1} grows like
 e^{mu*n}, which leaves native double range after a few hundred steps. A
 ``ScaledVector`` keeps a batch of values as exact triples (int8 sign,
 int64 base-2 exponent, float mantissa in [1, 2); zero is (0, 0, 1.0)),
-so iteration is safe out to n = 10**6 and far beyond. Design rules:
+so values are safe out to n = 10**6 and far beyond. The draws and the
+checkpoint samples of ``perpsim.simulate`` are ScaledVectors; its kernel
+steps in native doubles and calls ``vec_mul``/``vec_add`` only for the
+steps that doubles cannot do exactly, so these two functions define the
+arithmetic of the recursion. Design rules:
 
 * ``vec_from_real`` is exact (frexp decomposition), so feeding native
   draws into the recursion loses nothing.

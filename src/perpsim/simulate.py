@@ -13,8 +13,17 @@ blocks of ``BLOCK`` trajectories regardless of worker count, so output
 is bit-identical for any ``workers`` setting; results are gathered in
 trajectory order.
 
-The per-trajectory recursion runs entirely in scaled arithmetic, one
-``vec_*`` operation per step for a whole block of trajectories. With
+The recursion runs in native doubles for a whole block of trajectories
+at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
+exponent E: one step is ``r *= m; r += q * 2**-E``, and r is brought back
+to [1, 2) every ``RENORM`` steps and at every checkpoint, where the
+snapshot is taken as a ``ScaledVector``. A screen after each such
+sub-block finds every step whose native result may differ from the
+scaled arithmetic of ``perpsim.scaled`` (a state near the ends of double
+range, an extreme M, a Q lost to underflow, a dominated addition), and
+only those trajectories redo those steps with ``vec_add``/``vec_mul``. So
+every snapshot is bit-identical to the scaled recursion
+``R = vec_add(q, vec_mul(m, R))`` run one step at a time. With
 ``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j, a Case III
 diagnostic, in native floats. The tests replay single trajectories from
 their own streams in exact rational and mpmath arithmetic and compare
@@ -43,6 +52,7 @@ from .scaled import (
     EXPONENT_LIMIT,
     ScaledVector,
     vec_add,
+    vec_from_real,
     vec_log_abs,
     vec_mul,
     vec_to_real,
@@ -69,6 +79,14 @@ ENUMERATION_GUARD = 10_000_000
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _U_SHIFT = 2.0**-54
+
+RENORM = 32  # native recursion steps between renormalizations
+
+# Native steps stay exact while states lie in 2**+-900 and |M| in 2**+-60.
+_STATE_HI = 2.0**900
+_STATE_LO = 2.0**-900
+_M_EXPONENT_LIMIT = 60
+_FRACTION = np.uint64((1 << 52) - 1)
 
 
 def _splitmix64(z: int) -> int:
@@ -138,6 +156,147 @@ def _require_positive_for_w(model: PairModel) -> None:
         )
 
 
+class _Work:
+    """Buffers of one sub-block's arithmetic, views of ``space`` if given."""
+
+    def __init__(self, B: int, space: np.ndarray | None = None) -> None:
+        n = RENORM * B
+        if space is None:
+            space = np.empty(3 * n + B)
+        self.h = space[: n + B].reshape(RENORM + 1, B)  # states r, from the start state
+        self.q = space[n + B : 2 * n + B].reshape(RENORM, B)  # Q * 2**-E
+        self.m = space[2 * n + B : 3 * n + B].reshape(RENORM, B)  # M, then scratch
+
+
+def _native(v: ScaledVector, shift, out: np.ndarray) -> np.ndarray:
+    """v * 2**-shift as doubles in out: 0 below 2**-1022, inf above 2**1023.
+
+    The power of two is built from its bits; np.ldexp is several times
+    slower.
+    """
+    bits = out.view(np.int64)
+    np.subtract(v.exponent, shift, out=bits)
+    np.clip(bits, -1023, 1024, out=bits)
+    bits += 1023
+    bits <<= 52
+    out *= v.mantissa
+    out *= v.sign
+    return out
+
+
+def _scaled(r: np.ndarray, E: np.ndarray) -> ScaledVector:
+    """r * 2**E as a ScaledVector; zero gets the canonical (0, 0, 1.0)."""
+    s, e, m = vec_from_real(r)
+    return ScaledVector(s, np.where(s == 0, 0, e + E), m)
+
+
+def _take(v: ScaledVector, idx) -> ScaledVector:
+    return ScaledVector(v.sign[idx], v.exponent[idx], v.mantissa[idx])
+
+
+def _native_pass(r, E, q: ScaledVector, m: ScaledVector, after=None, work=None):
+    """States of R = r * 2**E stepped in doubles: h[j + 1] = m_j h[j] + q_j 2**-E.
+
+    With ``after`` (one step index per trajectory), a trajectory holds r
+    through its step ``after`` and steps natively past it. Returns the
+    states h, shaped (k + 1, B), and the native Q.
+    """
+    k, B = q.sign.shape
+    if work is None:
+        work = _Work(B)
+    h, qn, mn = work.h[: k + 1], work.q[:k], work.m[:k]
+    h[0] = r
+    # overflow, underflow and 0 * inf are caught by the checks that follow
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        _native(q, E, qn)
+        _native(m, 0, mn)
+        if after is None:
+            for j in range(k):
+                np.multiply(mn[j], h[j], out=h[j + 1])
+                h[j + 1] += qn[j]
+        else:
+            for j in range(k):
+                h[j + 1] = np.where(j > after, mn[j] * h[j] + qn[j], h[j])
+    return h, qn
+
+
+def _suspect(h: np.ndarray, m: ScaledVector, work: _Work) -> np.ndarray:
+    """Per trajectory: may some step differ from the scaled recursion?
+
+    A screen by column extremes for the rules of ``_inexact``. A lost Q
+    met by a zero product leaves a zero state, which the lower bound flags.
+    """
+    a = np.abs(h[1:], out=work.m[: h.shape[0] - 1])
+    ok = (a.max(axis=0) <= _STATE_HI) & (a.min(axis=0) >= _STATE_LO)
+    frac = np.bitwise_and(h[1:].view(np.uint64), _FRACTION, out=a.view(np.uint64))
+    ok &= frac.max(axis=0) != _FRACTION
+    ok &= m.exponent.max(axis=0) <= _M_EXPONENT_LIMIT
+    ok &= m.exponent.min(axis=0) >= -_M_EXPONENT_LIMIT
+    return ~ok
+
+
+def _inexact(h: np.ndarray, qn: np.ndarray, q: ScaledVector, m: ScaledVector) -> np.ndarray:
+    """(k, B) mask of the steps whose native result may differ.
+
+    Both native operations are correctly rounded while every state is 0
+    or within 2**+-900 and |M| is 0 or within 2**+-60, since no product
+    then leaves the normal range; so they equal vec_mul and vec_add but
+    in two cases. A Q that underflows to 0 is dominated unless the product
+    it meets is 0. And where vec_add absorbs an operand 54 binades below a
+    larger one of mantissa 1.0 and opposite sign, the native sum rounds to
+    the next double down, whose fraction bits are all ones.
+    """
+    a = np.abs(h)
+    zero = a == 0.0
+    bad = ~((a[1:] <= _STATE_HI) & ((a[1:] >= _STATE_LO) | zero[1:]))
+    bad |= (h[1:].view(np.uint64) & _FRACTION) == _FRACTION
+    bad |= np.abs(m.exponent) > _M_EXPONENT_LIMIT  # a zero M has exponent 0
+    bad |= (zero[:-1] | (m.sign == 0)) & (qn == 0.0) & (q.sign != 0)
+    return bad
+
+
+def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVector:
+    """R = r * 2**E after the steps of draws q, m (shaped (k, B)).
+
+    Bit-identical to k rounds of R = vec_add(q_j, vec_mul(m_j, R)). Every
+    trajectory first steps natively. One whose native run may not be exact
+    takes its first such step in scaled arithmetic and steps natively again
+    from the result: a lone huge Q from a log-tailed law resets the scale
+    this way. One that fails again steps in scaled arithmetic from its next
+    inexact step to the end.
+    """
+    k = q.sign.shape[0]
+    h, qn = _native_pass(r, E, q, m, work=work)
+    r_end, E_end = h[-1].copy(), E.copy()
+    cols = (slice(None), np.flatnonzero(_suspect(h, m, work)))
+    bad = _inexact(h[cols], qn[cols], _take(q, cols), _take(m, cols))
+    failed = bad.any(axis=0)
+    todo = cols[1][failed]
+    if todo.size:
+        # one scaled step at the first inexact step, then native again
+        cols = (slice(None), todo)
+        q, m, h, E = _take(q, cols), _take(m, cols), h[cols], E[todo]
+        first = bad[:, failed].argmax(axis=0)
+        at = (first, np.arange(todo.size))
+        R = vec_add(_take(q, at), vec_mul(_take(m, at), _scaled(h[at], E)))
+        E = R.exponent
+        h, qn = _native_pass(R.sign * R.mantissa, E, q, m, after=first)
+        r_end[todo], E_end[todo] = h[-1], E
+
+        # scaled steps from the next inexact step, if any, to the end
+        bad = _inexact(h, qn, q, m) & (np.arange(k)[:, None] > first)
+        rest = np.flatnonzero(bad.any(axis=0))
+        if rest.size:
+            cols = (slice(None), rest)
+            q, m, first = _take(q, cols), _take(m, cols), bad[cols].argmax(axis=0)
+            R = _scaled(h[first, rest], E[rest])
+            for j in range(int(first.min()), k):
+                step = vec_add(_take(q, j), vec_mul(_take(m, j), R))
+                R = ScaledVector(*(np.where(j >= first, a, b) for a, b in zip(step, R)))
+            r_end[todo[rest]], E_end[todo[rest]] = R.sign * R.mantissa, R.exponent
+    return _scaled(r_end, E_end)
+
+
 def _run_block(
     model: PairModel,
     cps: tuple[int, ...],
@@ -152,49 +311,60 @@ def _run_block(
         Generator(Philox(key=trajectory_seed(master_seed, i)))
         for i in range(lo, hi)
     ]
-    r = ScaledVector(
-        np.zeros(B, np.int8), np.zeros(B, np.int64), np.ones(B)
-    )
+    # R = r * 2**E, renormalized to |r| in [1, 2) after every sub-block
+    r = np.zeros(B)
+    E = np.zeros(B, np.int64)
     w = np.full(B, -np.inf)
     logprod = np.zeros(B)
-    cps_set = set(cps)
     n_max = cps[-1]
     snaps: dict[int, ScaledVector] = {}
     w_snaps: dict[int, np.ndarray] = {}
     u_buf = np.empty((B, CHUNK, 2))
+    # the uniforms' buffer lies idle from the draws to the next refill
+    work = _Work(B, u_buf.reshape(-1))
 
     t = 0
+    next_cp = iter(cps)
+    cp = next(next_cp)
     while t < n_max:
         c = min(CHUNK, n_max - t)
         for j, g in enumerate(gens):
             u_buf[j, :c] = g.random((c, 2))
-        u_q = np.ascontiguousarray(u_buf[:, :c, 0].T) + _U_SHIFT
-        u_m = np.ascontiguousarray(u_buf[:, :c, 1].T) + _U_SHIFT
+        u_q = np.add(u_buf[:, :c, 0].T, _U_SHIFT, order="C")
+        u_m = np.add(u_buf[:, :c, 1].T, _U_SHIFT, order="C")
         qv, mv = model.scaled_draws(u_q, u_m)  # arrays shaped (c, B)
         if track_w:
             ql = vec_log_abs(qv)
             ml = vec_log_abs(mv)
-        for j in range(c):
-            q_j = ScaledVector(qv.sign[j], qv.exponent[j], qv.mantissa[j])
-            m_j = ScaledVector(mv.sign[j], mv.exponent[j], mv.mantissa[j])
-            r = vec_add(q_j, vec_mul(m_j, r))
+        j0 = 0
+        while j0 < c:
+            # sub-blocks of at most RENORM steps, each ending at a checkpoint
+            j1 = min(j0 + RENORM, c, j0 + cp - t)
+            R = _advance(r, E, _take(qv, slice(j0, j1)), _take(mv, slice(j0, j1)), work)
+            r, E = R.sign * R.mantissa, R.exponent
             if track_w:
-                np.maximum(w, ql[j] + logprod, out=w)
-                logprod += ml[j]
-            t += 1
-            if t in cps_set:
-                bad = np.abs(r.exponent) > EXPONENT_LIMIT
+                # ln prod_{j<k} M_j summed one row at a time, as W's roundings need
+                lp = work.h[: j1 - j0 + 1]
+                lp[0] = logprod
+                for j in range(j0, j1):
+                    np.add(lp[j - j0], ml[j], out=lp[j - j0 + 1])
+                logprod = lp[-1].copy()
+                lp[:-1] += ql[j0:j1]
+                np.maximum(w, lp[:-1].max(axis=0), out=w)
+            t += j1 - j0
+            j0 = j1
+            if t == cp:
+                bad = np.abs(E) > EXPONENT_LIMIT
                 if np.any(bad):
                     k = int(np.argmax(bad))
                     raise ExponentOverflowError(
                         f"trajectory {lo + k}: exponent "
-                        f"{int(r.exponent[k])} beyond +/-2**62 at n={t}"
+                        f"{int(E[k])} beyond +/-2**62 at n={t}"
                     )
-                snaps[t] = ScaledVector(
-                    r.sign.copy(), r.exponent.copy(), r.mantissa.copy()
-                )
+                snaps[t] = R
                 if track_w:
                     w_snaps[t] = w.copy()
+                cp = next(next_cp, n_max + 1)
     return snaps, (w_snaps if track_w else None)
 
 

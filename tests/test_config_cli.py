@@ -197,6 +197,42 @@ class TestVerifyCommand:
         assert manifest["config"]["samples"] == 20000
         assert manifest["config"]["monotone_slack"] == 0.01
 
+    def test_checkpoints_csv_integer_columns(self, tmp_path):
+        path = write_config(tmp_path, base_config(samples=4000))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        row = json.loads((out / "report.json").read_text())["checkpoints"][0]
+        csv = (out / "checkpoints.csv").read_text().splitlines()
+        assert csv[0] == "n,ks,mean,variance,N"
+        assert csv[1] == f"5,{row['ks']!r},{row['mean']!r},{row['variance']!r},4000"
+
+    def test_report_is_strict_json(self, tmp_path):
+        # III-evt: some normalized samples are inf, so the sample mean and
+        # variance are NaN; report.json writes them as null
+        model = {
+            "family": "lognormal_pair",
+            "mu_x": 0.0,
+            "v2": 1.0,
+            "q": {"family": "log_pareto", "alpha": -1.0, "t0": 1.0},
+        }
+        cfg = base_config(model=model, checkpoints=[20, 100], samples=5000, ks_threshold=1.0)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["regime"]["case"] == "III-evt"
+        final = report["checkpoints"][-1]
+        assert final["mean"] is None and final["variance"] is None
+        assert (out / "checkpoints.csv").read_text().splitlines()[-1].split(",")[2] == "nan"
+
+    def test_write_json_rejects_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", {"ks": float("nan")})
+
     def test_zero_threshold_fails(self, tmp_path):
         path = write_config(tmp_path, base_config(samples=2000, ks_threshold=0.0))
         out = tmp_path / "out"
@@ -298,6 +334,17 @@ class TestOracleCommand:
         row = report["checkpoints"][-1]
         assert row["deviation"] <= report["dkw_bound"]
         assert row["recursion_vs_enumeration"] < 1e-10
+
+    def test_checkpoints_csv_integer_columns(self, tmp_path):
+        path = write_config(tmp_path, self.oracle_config(samples=3000))
+        out = tmp_path / "out"
+        main(["oracle", "--config", str(path), "--out", str(out), "--quiet"])
+        row = json.loads((out / "report.json").read_text())["checkpoints"][0]
+        csv = (out / "checkpoints.csv").read_text().splitlines()
+        assert csv[0] == "n,ks,mean,variance,N"
+        assert csv[1] == (
+            f"1,{row['deviation']!r},{row['mc_mean']!r},{row['mc_variance']!r},3000"
+        )
 
     def test_bundled_seed_115_passes(self, tmp_path):
         # the worst of 10 checkpoints at delta = 0.01 overshoots 0.01 / 10 less

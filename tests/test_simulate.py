@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from perpsim import simulate
 from perpsim.errors import (
     DomainError,
     InvalidArgumentsError,
@@ -24,6 +25,7 @@ from perpsim.models import (
     LogNormalPair,
     QConstant,
     QLogNormal,
+    QLogPareto,
     QRademacher,
     ScaledRademacher,
     SignedUnit,
@@ -116,6 +118,59 @@ def engine_paths(model, checkpoints, count, master_seed) -> dict[int, list[Fract
     return {n: [Fraction(x) for x in batch.to_reals(n)] for n in checkpoints}
 
 
+def floor_log2(x: Fraction) -> int:
+    """e with 2**e <= |x| < 2**(e + 1)."""
+    x = abs(x)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return e - 1 if Fraction(2) ** e > x else e
+
+
+def round_double(x: Fraction) -> Fraction:
+    """x rounded to 53 significant bits, ties to even, at any exponent."""
+    if x == 0:
+        return x
+    scale = Fraction(2) ** (52 - floor_log2(x))
+    return Fraction(round(x * scale)) / scale
+
+
+def scaled_step(q: Fraction, m: Fraction, r: Fraction) -> Fraction:
+    """One step of the documented scaled arithmetic, in exact rationals: the
+    product is correctly rounded, and so is the sum, except that an addend
+    more than 53 binades below the other is dropped (dominated addition)."""
+    p = round_double(m * r)
+    if q == 0 or p == 0:
+        return q + p
+    if abs(floor_log2(q) - floor_log2(p)) > 53:
+        return q if abs(q) > abs(p) else p
+    return round_double(q + p)
+
+
+def scaled_paths(model, checkpoints, count, master_seed) -> dict[int, list[Fraction]]:
+    """R_n of each trajectory under ``scaled_step``, with no exponent limit."""
+    out = {n: [] for n in checkpoints}
+    for i in range(count):
+        r = Fraction(0)
+        u = trajectory_uniforms(master_seed, i, checkpoints[-1])
+        for t, (u_q, u_m) in enumerate(u, start=1):
+            r = scaled_step(*exact_pair(model, u_q, u_m), r)
+            if t in out:
+                out[t].append(r)
+    return out
+
+
+def engine_values(model, checkpoints, count, master_seed) -> dict[int, list[Fraction]]:
+    """run_batch snapshots as exact rationals, also beyond double range."""
+    batch = run_batch(model, checkpoints, count, master_seed)
+    out = {}
+    for n in checkpoints:
+        v = batch.vectors(n)
+        out[n] = [
+            s * Fraction(float(m)) * Fraction(2) ** int(e)
+            for s, e, m in zip(v.sign.tolist(), v.exponent.tolist(), v.mantissa.tolist())
+        ]
+    return out
+
+
 class TestRunTrajectory:
     """Single trajectories: run_batch with count = 1."""
 
@@ -172,8 +227,9 @@ class TestRunBatch:
     @pytest.mark.parametrize(
         "model,cps,count",
         [
-            # Case IV; 600 steps cross the engine's 256-step stream refills
-            (SignedUnit(0.6, QRademacher(0.3)), [255, 256, 257, 600], 40),
+            # Case IV; checkpoints on both sides of the 32-step native
+            # sub-blocks and of the 256-step stream refills
+            (SignedUnit(0.6, QRademacher(0.3)), [1, 31, 32, 33, 255, 256, 257, 600], 40),
             (SignedUnit(0.75, QConstant(3.0)), [600], 20),
             (FAIR_SIGN, [300], 20),
             # dyadic atoms stay exact in doubles for a dozen steps
@@ -182,6 +238,59 @@ class TestRunBatch:
     )
     def test_exact_rational_replay(self, model, cps, count):
         assert engine_paths(model, cps, count, 515) == exact_paths(model, cps, count, 515)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # |M| = 2**80 and 2**-80 lie outside the native kernel's range
+            # for M, so every step runs in scaled arithmetic, past double range
+            DiscreteJoint((((1.0, 2.0**80), 0.5), ((3.0, -(2.0**-80)), 0.5))),
+            # after R passes 2**1023, Q = 1 underflows against the scale of R
+            # but M = 0 makes R_n = Q_n exactly
+            DiscreteJoint((((1.0, 2.0**50), 0.7), ((1.0, 0.0), 0.1), ((-1.0, -0.125), 0.2))),
+            # 1 - (1 + 2**-52) 2**-54 rounds to 1 - 2**-53 in doubles, but the
+            # scaled sum drops the addend 54 binades down: R_n = 1 for all n
+            DiscreteJoint((((1.0, -(1.0 + 2.0**-52) * 2.0**-54), 1.0),)),
+            # Q = 0 with M = 2**-1060, below the normal doubles: R_n = M_n R_{n-1}
+            DiscreteJoint((((0.0, 2.0**-1060), 0.3), ((1.0, 2.0), 0.7))),
+        ],
+        ids=["m_2_pm80", "lost_q", "dominated", "tiny_m"],
+    )
+    def test_scaled_rounding_replay(self, model):
+        # the native kernel must match the scaled arithmetic exactly wherever
+        # doubles cannot: replayed in rationals with its rounding rules
+        cps, count, seed = [1, 31, 32, 33, 255, 256, 257, 400], 20, 5150
+        assert engine_values(model, cps, count, seed) == scaled_paths(model, cps, count, seed)
+
+    def test_case_ii_takes_no_scaled_step(self, monkeypatch):
+        # renormalized every 32 steps, a Case II block never leaves the range
+        # where native steps are exact, so no step falls back to vec_add
+        calls = []
+        monkeypatch.setattr(simulate, "vec_add", lambda *a: calls.append(a) or vec_add(*a))
+        batch = run_batch(CASE_II, [3000], 64, master_seed=3)
+        assert calls == []
+        assert batch.vectors(3000).exponent.min() > 1500
+
+    def test_log_pareto_replay_against_mpmath(self):
+        # III-evt: a log-Pareto Q now and then exceeds M R_{n-1} by more
+        # than double range, and R_n = Q_n restarts the native scale
+        model = LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0))
+        n, count, seed = 2000, 8, 41
+        got = vec_log_abs(run_batch(model, [n], count, seed).vectors(n))
+        jumps = 0
+        for i in range(count):
+            u = trajectory_uniforms(seed, i, n)
+            x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
+            y = model.q_law.t0 * u[:, 0] ** (1.0 / model.q_law.alpha)
+            with mpmath.workprec(200):
+                r = mpmath.mpf(0)
+                for y_t, x_t in zip(y.tolist(), x.tolist()):
+                    mr = mpmath.exp(x_t) * r
+                    jumps += y_t > math.log(2.0) * 1100 + mpmath.log(mr) if r else 0
+                    r = mpmath.exp(y_t) + mr
+                want = mpmath.log(r)
+                assert abs(mpmath.mpf(got[i]) - want) <= 1e-12 * abs(want)
+        assert jumps > 0
 
     @pytest.mark.parametrize("model", [CASE_III_CLT, CASE_II])
     def test_lognormal_replay_against_mpmath(self, model):
@@ -230,7 +339,7 @@ class TestRunBatch:
         # rebuilt in exact rationals from each trajectory's own stream;
         # 300 steps cross the engine's 256-step stream refills
         model = DiscreteJoint((((2.0, 2.0), 0.5), ((1.0, 0.5), 0.3), ((3.0, 1.5), 0.2)))
-        cps, count, seed = [1, 12, 256, 300], 100, 77
+        cps, count, seed = [1, 12, 31, 32, 33, 255, 256, 257, 300], 100, 77
         batch = run_batch(model, cps, count, seed, track_w=True)
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
