@@ -16,7 +16,7 @@ Schema (JSON object)::
       "workers": int,              default 1
       "series_terms": int | null,  default null (auto from 1e-9 target)
       "ks_threshold": float|null,  default null (regime-dependent default)
-      "monotone_slack": float      default 0.01
+      "monotone_slack": float      default max(0.01, DKW radius at N, delta 0.01)
     }
 
 Models::
@@ -56,6 +56,7 @@ from .models import (
     ScaledRademacher,
     SignedUnit,
 )
+from .stats import dkw_bound
 
 __all__ = ["RunConfig", "load_config", "parse_config", "model_to_dict", "resolved_dict"]
 
@@ -66,10 +67,10 @@ class RunConfig:
     checkpoints: tuple[int, ...]
     samples: int
     seed: int
+    monotone_slack: float
     workers: int = 1
     series_terms: int | None = None
     ks_threshold: float | None = None
-    monotone_slack: float = 0.01
 
 
 def _require_keys(obj: dict, where: str, required: set[str], optional: set[str]):
@@ -217,9 +218,13 @@ def parse_config(obj: dict) -> RunConfig:
         ks_threshold = _number(ks_threshold, "ks_threshold")
         if ks_threshold < 0:
             raise ConfigError("ks_threshold must be >= 0")
-    slack = _number(obj.get("monotone_slack", 0.01), "monotone_slack")
-    if slack < 0:
-        raise ConfigError("monotone_slack must be >= 0")
+    if "monotone_slack" in obj:
+        slack = _number(obj["monotone_slack"], "monotone_slack")
+        if slack < 0:
+            raise ConfigError("monotone_slack must be >= 0")
+    else:
+        # KS values at N samples scatter by about the DKW radius
+        slack = max(0.01, dkw_bound(samples, 0.01))
     return RunConfig(
         model=model,
         checkpoints=cps,

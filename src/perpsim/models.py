@@ -90,8 +90,6 @@ class QConstant:
     def moments(self) -> tuple[float, float]:
         return self.value, self.value * self.value
 
-    finite_variance = True
-
     @property
     def positive(self) -> bool:
         return self.value > 0.0
@@ -112,7 +110,6 @@ class QRademacher:
     def moments(self) -> tuple[float, float]:
         return 2.0 * self.p - 1.0, 1.0
 
-    finite_variance = True
     positive = False
 
 
@@ -139,7 +136,6 @@ class QLogNormal:
             math.exp(2.0 * self.mean + 2.0 * self.var),
         )
 
-    finite_variance = True
     positive = True
 
 
@@ -180,7 +176,6 @@ class QLogPareto:
     def tail_quantile(self, n: int) -> float:
         return self.t0 * n ** (-1.0 / self.alpha)
 
-    finite_variance = False
     positive = True
 
 
@@ -245,7 +240,6 @@ class QLogBoundary:
     def moments(self) -> tuple[float, float]:
         return math.inf, math.inf
 
-    finite_variance = False
     positive = True
 
 

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentsError, InvalidInputError, NativeRangeError
+from .errors import InvalidArgumentsError, InvalidInputError
 from .models import RegimeReport
-from .scaled import ScaledVector, vec_from_real, vec_mul
+from .scaled import ScaledVector, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 
 __all__ = ["normalize_samples"]
 
@@ -39,15 +39,6 @@ _POWER_CASES = {
     "III-evt",
     "III-boundary-growing",
 }
-
-
-def _native_vec(v: ScaledVector) -> np.ndarray:
-    nonzero = v.sign != 0
-    if np.any(nonzero & (v.exponent > 1023)):
-        raise NativeRangeError("normalized values exceed native range")
-    # exponents <= -1100 already round to zero; clamping keeps ldexp happy
-    out = np.ldexp(v.sign * v.mantissa, np.maximum(v.exponent, -1100))
-    return np.where(nonzero, out, 0.0)
 
 
 def _rho_power_factor(rho: float, n: int) -> ScaledVector:
@@ -64,8 +55,8 @@ def _rho_power_factor(rho: float, n: int) -> ScaledVector:
         k >>= 1
         if k:
             base = vec_mul(base, base)
-    inv = vec_from_real(1.0 / power.mantissa)
-    return ScaledVector(inv.sign, inv.exponent - power.exponent, inv.mantissa)
+    inv, e = vec_from_real(1.0 / power.mantissa)
+    return ScaledVector(inv, e - power.exponent)
 
 
 def _power_args(regime: RegimeReport, n: int, gamma_n: float | None):
@@ -89,26 +80,19 @@ def normalize_samples(
 ) -> np.ndarray:
     """Normalize a batch of samples of R_n for the given regime."""
     case = regime.case
-    sign = values.sign
     if case in ("I-sym", "I-asym"):
-        return _native_vec(vec_mul(values, _rho_power_factor(regime.rho, n)))
+        return vec_to_real(vec_mul(values, _rho_power_factor(regime.rho, n)))
     if case == "IV":
-        return _native_vec(values) / math.sqrt(n)
+        return vec_to_real(values) / math.sqrt(n)
     if case in _POWER_CASES:
-        if case.startswith("III") and np.any(sign < 0):
+        if case.startswith("III") and np.any(values.mantissa < 0):
             raise InvalidArgumentsError(
                 "Case III normalization requires positive samples"
             )
         divisor, shift = _power_args(regime, n, gamma_n)
-        nonzero = sign != 0
-        logs = np.where(
-            nonzero,
-            values.exponent * math.log(2.0) + np.log(values.mantissa),
-            -np.inf,
-        )
         with np.errstate(over="ignore"):
-            mag = np.exp(logs / divisor - shift)
+            mag = np.exp(vec_log_abs(values) / divisor - shift)
         if case == "II-signed":
-            return sign * mag
+            return np.copysign(mag, values.mantissa)
         return mag
     raise InvalidArgumentsError(f"no normalization for regime {case}")

@@ -15,14 +15,14 @@ trajectory order.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
-exponent E: one step is ``r *= m; r += q * 2**-E``, and r is brought back
-to [1, 2) every ``RENORM`` steps and at every checkpoint, where the
-snapshot is taken as a ``ScaledVector``. A screen after each such
+exponent E: one step is ``r *= m; r += q * 2**-E``, and |r| is brought
+back to [1, 2) every ``RENORM`` steps and at every checkpoint, where
+(r, E) is the snapshot, a ``ScaledVector``. A screen after each such
 sub-block finds every step whose native result may differ from the
 scaled arithmetic of ``perpsim.scaled`` (a state near the ends of double
-range, an extreme M, a Q lost to underflow, a dominated addition), and
-only those trajectories redo those steps with ``vec_add``/``vec_mul``. So
-every snapshot is bit-identical to the scaled recursion
+range, an extreme M, a Q lost to underflow), and only those trajectories
+redo those steps with ``vec_add``/``vec_mul``. So every snapshot is
+bit-identical to the scaled recursion
 ``R = vec_add(q, vec_mul(m, R))`` run one step at a time. With
 ``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j, a Case III
 diagnostic, in native floats. The tests replay single trajectories from
@@ -86,7 +86,6 @@ RENORM = 32  # native recursion steps between renormalizations
 _STATE_HI = 2.0**900
 _STATE_LO = 2.0**-900
 _M_EXPONENT_LIMIT = 60
-_FRACTION = np.uint64((1 << 52) - 1)
 
 
 def _splitmix64(z: int) -> int:
@@ -180,18 +179,17 @@ def _native(v: ScaledVector, shift, out: np.ndarray) -> np.ndarray:
     bits += 1023
     bits <<= 52
     out *= v.mantissa
-    out *= v.sign
     return out
 
 
 def _scaled(r: np.ndarray, E: np.ndarray) -> ScaledVector:
-    """r * 2**E as a ScaledVector; zero gets the canonical (0, 0, 1.0)."""
-    s, e, m = vec_from_real(r)
-    return ScaledVector(s, np.where(s == 0, 0, e + E), m)
+    """r * 2**E as a ScaledVector; zero gets the canonical (0.0, 0)."""
+    m, e = vec_from_real(r)
+    return ScaledVector(m, np.where(m == 0.0, 0, e + E))
 
 
 def _take(v: ScaledVector, idx) -> ScaledVector:
-    return ScaledVector(v.sign[idx], v.exponent[idx], v.mantissa[idx])
+    return ScaledVector(v.mantissa[idx], v.exponent[idx])
 
 
 def _native_pass(r, E, q: ScaledVector, m: ScaledVector, after=None, work=None):
@@ -201,7 +199,7 @@ def _native_pass(r, E, q: ScaledVector, m: ScaledVector, after=None, work=None):
     through its step ``after`` and steps natively past it. Returns the
     states h, shaped (k + 1, B), and the native Q.
     """
-    k, B = q.sign.shape
+    k, B = q.mantissa.shape
     if work is None:
         work = _Work(B)
     h, qn, mn = work.h[: k + 1], work.q[:k], work.m[:k]
@@ -228,8 +226,6 @@ def _suspect(h: np.ndarray, m: ScaledVector, work: _Work) -> np.ndarray:
     """
     a = np.abs(h[1:], out=work.m[: h.shape[0] - 1])
     ok = (a.max(axis=0) <= _STATE_HI) & (a.min(axis=0) >= _STATE_LO)
-    frac = np.bitwise_and(h[1:].view(np.uint64), _FRACTION, out=a.view(np.uint64))
-    ok &= frac.max(axis=0) != _FRACTION
     ok &= m.exponent.max(axis=0) <= _M_EXPONENT_LIMIT
     ok &= m.exponent.min(axis=0) >= -_M_EXPONENT_LIMIT
     return ~ok
@@ -240,18 +236,15 @@ def _inexact(h: np.ndarray, qn: np.ndarray, q: ScaledVector, m: ScaledVector) ->
 
     Both native operations are correctly rounded while every state is 0
     or within 2**+-900 and |M| is 0 or within 2**+-60, since no product
-    then leaves the normal range; so they equal vec_mul and vec_add but
-    in two cases. A Q that underflows to 0 is dominated unless the product
-    it meets is 0. And where vec_add absorbs an operand 54 binades below a
-    larger one of mantissa 1.0 and opposite sign, the native sum rounds to
-    the next double down, whose fraction bits are all ones.
+    then leaves the normal range; so they equal the correctly rounded
+    vec_mul and vec_add but in one case: a Q that underflows to 0 is
+    dominated unless the product it meets is 0.
     """
     a = np.abs(h)
     zero = a == 0.0
     bad = ~((a[1:] <= _STATE_HI) & ((a[1:] >= _STATE_LO) | zero[1:]))
-    bad |= (h[1:].view(np.uint64) & _FRACTION) == _FRACTION
     bad |= np.abs(m.exponent) > _M_EXPONENT_LIMIT  # a zero M has exponent 0
-    bad |= (zero[:-1] | (m.sign == 0)) & (qn == 0.0) & (q.sign != 0)
+    bad |= (zero[:-1] | (m.mantissa == 0.0)) & (qn == 0.0) & (q.mantissa != 0.0)
     return bad
 
 
@@ -265,7 +258,7 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
     this way. One that fails again steps in scaled arithmetic from its next
     inexact step to the end.
     """
-    k = q.sign.shape[0]
+    k = q.mantissa.shape[0]
     h, qn = _native_pass(r, E, q, m, work=work)
     r_end, E_end = h[-1].copy(), E.copy()
     cols = (slice(None), np.flatnonzero(_suspect(h, m, work)))
@@ -278,9 +271,8 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
         q, m, h, E = _take(q, cols), _take(m, cols), h[cols], E[todo]
         first = bad[:, failed].argmax(axis=0)
         at = (first, np.arange(todo.size))
-        R = vec_add(_take(q, at), vec_mul(_take(m, at), _scaled(h[at], E)))
-        E = R.exponent
-        h, qn = _native_pass(R.sign * R.mantissa, E, q, m, after=first)
+        r, E = vec_add(_take(q, at), vec_mul(_take(m, at), _scaled(h[at], E)))
+        h, qn = _native_pass(r, E, q, m, after=first)
         r_end[todo], E_end[todo] = h[-1], E
 
         # scaled steps from the next inexact step, if any, to the end
@@ -293,7 +285,7 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
             for j in range(int(first.min()), k):
                 step = vec_add(_take(q, j), vec_mul(_take(m, j), R))
                 R = ScaledVector(*(np.where(j >= first, a, b) for a, b in zip(step, R)))
-            r_end[todo[rest]], E_end[todo[rest]] = R.sign * R.mantissa, R.exponent
+            r_end[todo[rest]], E_end[todo[rest]] = R
     return _scaled(r_end, E_end)
 
 
@@ -341,7 +333,7 @@ def _run_block(
             # sub-blocks of at most RENORM steps, each ending at a checkpoint
             j1 = min(j0 + RENORM, c, j0 + cp - t)
             R = _advance(r, E, _take(qv, slice(j0, j1)), _take(mv, slice(j0, j1)), work)
-            r, E = R.sign * R.mantissa, R.exponent
+            r, E = R
             if track_w:
                 # ln prod_{j<k} M_j summed one row at a time, as W's roundings need
                 lp = work.h[: j1 - j0 + 1]
@@ -396,9 +388,8 @@ def run_batch(
     w_logs: dict[int, np.ndarray] | None = {} if track_w else None
     for n in cps:
         vectors[n] = ScaledVector(
-            np.concatenate([snaps[n].sign for snaps, _ in results]),
-            np.concatenate([snaps[n].exponent for snaps, _ in results]),
             np.concatenate([snaps[n].mantissa for snaps, _ in results]),
+            np.concatenate([snaps[n].exponent for snaps, _ in results]),
         )
         if track_w:
             w_logs[n] = np.concatenate([ws[n] for _, ws in results])

@@ -10,6 +10,9 @@ from perpsim.cli import main
 from perpsim.config import load_config, parse_config, resolved_dict
 from perpsim.errors import ConfigError
 from perpsim.models import ScaledRademacher, SignedUnit
+from perpsim.stats import dkw_bound
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path: Path, obj, name="config.json") -> Path:
@@ -111,6 +114,14 @@ class TestConfigParsing:
         assert parse_config(echoed) == cfg
         assert echoed["series_terms"] is None  # default made explicit
 
+    @pytest.mark.parametrize("samples", [1, 2048, 20000, 26491, 26492, 10**6])
+    def test_default_monotone_slack(self, samples):
+        # KS noise between checkpoints scales like the DKW radius; 0.01 at least
+        cfg = parse_config(base_config(samples=samples))
+        assert cfg.monotone_slack == max(0.01, dkw_bound(samples, 0.01))
+        assert (cfg.monotone_slack == 0.01) == (samples >= 26492)
+        assert parse_config(base_config(samples=samples, monotone_slack=0.002)).monotone_slack == 0.002
+
 
 class TestClassifyCommand:
     def test_case_i_sym(self, tmp_path, capsys):
@@ -195,7 +206,23 @@ class TestVerifyCommand:
         assert len(csv) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["samples"] == 20000
-        assert manifest["config"]["monotone_slack"] == 0.01
+        slack = max(0.01, dkw_bound(20000, 0.01))
+        assert manifest["config"]["monotone_slack"] == report["monotone_slack"] == slack
+
+    def test_small_n_default_slack_passes(self, tmp_path):
+        # case2_abs at N = 2048: KS 0.0164 at n = 1000, then 0.0392 at
+        # n = 10**4, within the sampling noise of correct code at that N
+        cfg = json.loads((CONFIGS / "case2_abs.json").read_text())
+        path = write_config(tmp_path, dict(cfg, samples=2048))
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out),
+                     "--seed", "15851", "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        ks = [row["ks"] for row in report["checkpoints"]]
+        assert ks[2] - ks[1] > 0.02
+        assert report["monotone_slack"] == dkw_bound(2048, 0.01)
+        assert json.loads((out / "manifest.json").read_text())["config"]["monotone_slack"] == dkw_bound(2048, 0.01)
+        assert code == 0 and report["passed"] is True
 
     def test_checkpoints_csv_integer_columns(self, tmp_path):
         path = write_config(tmp_path, base_config(samples=4000))
@@ -349,7 +376,7 @@ class TestOracleCommand:
     def test_bundled_seed_115_passes(self, tmp_path):
         # the worst of 10 checkpoints at delta = 0.01 overshoots 0.01 / 10 less
         # often than 1%: seed 115 fails a per-checkpoint 1% band at n = 2
-        config = Path(__file__).resolve().parent.parent / "configs" / "oracle_fair_sign.json"
+        config = CONFIGS / "oracle_fair_sign.json"
         out = tmp_path / "out"
         code = main(["oracle", "--config", str(config), "--out", str(out),
                      "--seed", "115", "--workers", "2", "--quiet"])
@@ -440,7 +467,7 @@ class TestBundledConfigs:
         ],
     )
     def test_classify_bundled(self, tmp_path, name, case):
-        config = Path(__file__).resolve().parent.parent / "configs" / name
+        config = CONFIGS / name
         out = tmp_path / "out"
         code = main(["classify", "--config", str(config), "--out", str(out), "--quiet"])
         assert code == 0

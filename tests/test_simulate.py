@@ -1,8 +1,10 @@
 """Engine: exact replays of single trajectories, the W_n diagnostic, oracles."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,6 +15,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from perpsim import simulate
+from perpsim.config import load_config
 from perpsim.errors import (
     DomainError,
     InvalidArgumentsError,
@@ -29,6 +32,8 @@ from perpsim.models import (
     QRademacher,
     ScaledRademacher,
     SignedUnit,
+    analytic_moments,
+    classify,
 )
 from perpsim.scaled import vec_add, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 from perpsim.simulate import (
@@ -44,6 +49,22 @@ FAIR_SIGN = DiscreteJoint((((1.0, 1.0), 0.5), ((1.0, -1.0), 0.5)))
 CASE_II = LogNormalPair(0.5, 1.0, QConstant(1.0))
 CASE_I_ASYM = ScaledRademacher(2.0, 0.7, QRademacher(0.7))
 CASE_III_CLT = LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0))
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of run_batch at N = 64 for each bundled config, with its seed, its
+# checkpoints and the track_w of verify: per checkpoint the mantissa float64
+# bytes, the exponent int64 bytes, then w_log where tracked. A change to the
+# streams, the draw transforms or the arithmetic of the recursion shows here.
+ENGINE_DIGESTS = {
+    "case1_asym": "e09da2647d5f43f01c87b7660b83d8aa920565dd22652ffbba696a8f490893fe",
+    "case1_sym": "cd78ba6d6e7140f47887f315c6e5983af4d05884259f5dc09c454246a0f9b678",
+    "case2_abs": "154d7647f9eac4cdb8353e4c731227d965b2d7a83484f8e7e5c77b21f08d9d6c",
+    "case3_clt": "d1f1caa2c199fc99622ee345c5d7642dbc8327cf44bf8935cc67e7caf06149c4",
+    "case3_evt": "4a3c4cd16ed635badfe84a94f1010faf7bd11877abe47cb9461864420926fa0b",
+    "case4": "f182c05a93f8b9a34f16d0c1b1e62832cae3d0209726d33883be40fd68f942e3",
+    "oracle_fair_sign": "a3d94d2ab4faacb31c1fc3e463581b3310168c8bc5f17b53dbf94b0cab283a0f",
+}
 
 
 def brute_force_law(model: DiscreteJoint, n: int) -> dict[float, float]:
@@ -134,15 +155,9 @@ def round_double(x: Fraction) -> Fraction:
 
 
 def scaled_step(q: Fraction, m: Fraction, r: Fraction) -> Fraction:
-    """One step of the documented scaled arithmetic, in exact rationals: the
-    product is correctly rounded, and so is the sum, except that an addend
-    more than 53 binades below the other is dropped (dominated addition)."""
-    p = round_double(m * r)
-    if q == 0 or p == 0:
-        return q + p
-    if abs(floor_log2(q) - floor_log2(p)) > 53:
-        return q if abs(q) > abs(p) else p
-    return round_double(q + p)
+    """One step of the documented scaled arithmetic, in exact rationals:
+    the product and the sum are each rounded to 53 bits, at any exponent."""
+    return round_double(q + round_double(m * r))
 
 
 def scaled_paths(model, checkpoints, count, master_seed) -> dict[int, list[Fraction]]:
@@ -165,8 +180,8 @@ def engine_values(model, checkpoints, count, master_seed) -> dict[int, list[Frac
     for n in checkpoints:
         v = batch.vectors(n)
         out[n] = [
-            s * Fraction(float(m)) * Fraction(2) ** int(e)
-            for s, e, m in zip(v.sign.tolist(), v.exponent.tolist(), v.mantissa.tolist())
+            Fraction(m) * Fraction(2) ** e
+            for m, e in zip(v.mantissa.tolist(), v.exponent.tolist())
         ]
     return out
 
@@ -191,8 +206,8 @@ class TestRunTrajectory:
         one = vec_from_real(np.array([1.0]))
         r = vec_from_real(np.array([float(k)]))
         out = vec_add(one, vec_mul(one, r))
-        s, e, m = int(out.sign[0]), int(out.exponent[0]), float(out.mantissa[0])
-        assert s * Fraction(m) * Fraction(2) ** e == k + 1
+        m, e = float(out.mantissa[0]), int(out.exponent[0])
+        assert Fraction(m) * Fraction(2) ** e == k + 1
 
     def test_same_seed_same_path(self):
         a = run_batch(CASE_II, [50], 1, master_seed=11).vectors(50)
@@ -248,8 +263,8 @@ class TestRunBatch:
             # after R passes 2**1023, Q = 1 underflows against the scale of R
             # but M = 0 makes R_n = Q_n exactly
             DiscreteJoint((((1.0, 2.0**50), 0.7), ((1.0, 0.0), 0.1), ((-1.0, -0.125), 0.2))),
-            # 1 - (1 + 2**-52) 2**-54 rounds to 1 - 2**-53 in doubles, but the
-            # scaled sum drops the addend 54 binades down: R_n = 1 for all n
+            # 1 - (1 + 2**-52) 2**-54: an addend 54 binades down that still
+            # moves the rounded sum, to 1 - 2**-53
             DiscreteJoint((((1.0, -(1.0 + 2.0**-52) * 2.0**-54), 1.0),)),
             # Q = 0 with M = 2**-1060, below the normal doubles: R_n = M_n R_{n-1}
             DiscreteJoint((((0.0, 2.0**-1060), 0.3), ((1.0, 2.0), 0.7))),
@@ -313,13 +328,27 @@ class TestRunBatch:
                 want = mpmath.log(r)
                 assert abs(mpmath.mpf(got[i]) - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("name", sorted(ENGINE_DIGESTS))
+    def test_output_pinned_across_versions(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        track_w = classify(analytic_moments(cfg.model), cfg.model).case.startswith("III")
+        batch = run_batch(cfg.model, cfg.checkpoints, 64, cfg.seed, track_w=track_w)
+        digest = hashlib.sha256()
+        for n in cfg.checkpoints:
+            v = batch.vectors(n)
+            assert (v.mantissa.dtype, v.exponent.dtype) == (np.float64, np.int64)
+            digest.update(v.mantissa.tobytes())
+            digest.update(v.exponent.tobytes())
+            if track_w:
+                digest.update(batch.w_log(n).tobytes())
+        assert digest.hexdigest() == ENGINE_DIGESTS[name]
+
     def test_worker_count_invariance(self):
         a = run_batch(CASE_II, [40], 4500, master_seed=13, workers=1)
         b = run_batch(CASE_II, [40], 4500, master_seed=13, workers=3)
         va, vb = a.vectors(40), b.vectors(40)
-        assert np.array_equal(va.sign, vb.sign)
-        assert np.array_equal(va.exponent, vb.exponent)
         assert np.array_equal(va.mantissa, vb.mantissa)
+        assert np.array_equal(va.exponent, vb.exponent)
 
     def test_r2_law(self):
         batch = run_batch(FAIR_SIGN, [2], 100_000, master_seed=2024)
@@ -370,7 +399,7 @@ class TestRunBatch:
     def test_samples_accessor(self):
         batch = run_batch(FAIR_SIGN, [3], 8, master_seed=1)
         values = batch.vectors(3)
-        assert values.sign.size == 8
+        assert values.mantissa.size == 8
         assert vec_to_real(values).tolist() == batch.to_reals(3).tolist()
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import perpsim
-from perpsim.cli import verification_rows
+import perpsim.simulate
+from perpsim.cli import main, verification_rows
 from perpsim.config import load_config
 from perpsim.models import analytic_moments, classify
 
@@ -35,11 +36,15 @@ def test_star_import():
     assert "run_batch" in namespace and "normalize_samples" in namespace
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+def load_module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name: str):
+    return load_module(REPO / "scripts" / f"{name}.py")
 
 
 def test_ks_convergence_rows_are_verify_rows(tmp_path):
@@ -72,3 +77,35 @@ def test_ks_convergence_rows_are_verify_rows(tmp_path):
     regime = classify(analytic_moments(cfg.model), cfg.model)
     _, _, rows, _ = verification_rows(dataclasses.replace(cfg, checkpoints=grid), regime)
     assert got == [[r["n"], r["ks"], r["mean"], r["variance"]] for r in rows]
+
+
+def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
+    # perfbench/run.py --trace 1 wraps package names by attribute, so a
+    # rename in the package must fail here and not only in the benchmark
+    tracing = load_module(REPO / "perfbench" / "tracing.py")
+    targets = [(owner, attr) for owner, attr, _, _ in tracing._targets()]
+    targets.append((perpsim.simulate, "_run_block"))
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    config = {
+        "model": {
+            "family": "scaled_rademacher",
+            "rho": 2.0,
+            "p": 0.5,
+            "q": {"family": "rademacher", "p": 0.5},
+        },
+        "checkpoints": [10, 40],
+        "samples": 2000,
+        "seed": 17,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    tracer = tracing.Tracer(tmp_path)
+    saved = tracing.install(tracer)
+    try:
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    finally:
+        tracing.uninstall(saved)
+    assert code == 0
+    recorded = {tracing.SPAN_NAMES[i] for i in tracer.name}
+    assert {"simulate.block", "models.draws", "stats.ks"} <= recorded
+    assert all(getattr(o, a) is f for (o, a), f in zip(targets, originals))
