@@ -76,14 +76,17 @@ def vec_from_real(x: np.ndarray) -> ScaledVector:
 
 def vec_from_log(log_values: np.ndarray) -> ScaledVector:
     """e**log_values, positive."""
-    t = np.asarray(log_values, dtype=np.float64) * _LOG2E
+    # t turns from the base-2 log into the mantissa in place: a fresh array
+    # per step costs more than its arithmetic at draw sizes
+    t = np.multiply(log_values, _LOG2E, dtype=np.float64)
     e = np.floor(t)
-    mant = np.exp2(t - e)
-    high = mant >= 2.0
+    t -= e
+    np.exp2(t, out=t)
+    high = t >= 2.0
     if np.any(high):
-        mant = np.where(high, 0.5 * mant, mant)
-        e = e + high
-    return ScaledVector(mant, e.astype(np.int64))
+        np.multiply(t, 0.5, out=t, where=high)
+        e += high
+    return ScaledVector(t, e.astype(np.int64))
 
 
 def vec_mul(a: ScaledVector, b: ScaledVector) -> ScaledVector:

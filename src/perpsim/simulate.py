@@ -6,9 +6,13 @@ Trajectory i of a batch owns a private counter-based random stream:
 its Philox key is ``splitmix64(master_seed + (i + 1) * GOLDEN)`` where
 GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 is the usual finalizer (the
 key with index offset 0 is reserved for reference samplers). Each
-recursion step consumes exactly two uniforms from that stream, first
-for Q then for M, and every uniform is shifted by 2**-54 into the open
-interval (0, 1) before transformation. Batches are processed in fixed
+recursion step consumes exactly two 64-bit words from that stream, first
+for Q then for M, and a word w becomes the uniform
+``(w >> 11) * 2**-53 + 2**-54``: ``Generator.random()`` shifted by
+2**-54 into the open interval (0, 1), but for the top value of w >> 11,
+where the tie rounds to 1.0. The fill reads the raw words of ``TILE``
+trajectories at a time and converts and transposes them to step-major
+order while they are still in cache. Batches are processed in fixed
 blocks of ``BLOCK`` trajectories regardless of worker count, so output
 is bit-identical for any ``workers`` setting; results are gathered in
 trajectory order.
@@ -73,12 +77,12 @@ __all__ = [
 
 BLOCK = 2048  # trajectories per work unit; fixed so output ignores worker count
 CHUNK = 256  # recursion steps drawn per stream refill (sized for cache)
+TILE = 128  # trajectories whose uniforms are transposed together (sized for cache)
 
 ENUMERATION_GUARD = 10_000_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_U_SHIFT = 2.0**-54
 
 RENORM = 32  # native recursion steps between renormalizations
 
@@ -96,6 +100,20 @@ def _splitmix64(z: int) -> int:
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms (word >> 11) * 2**-53 + 2**-54 of raw Philox words, in place.
+
+    ``Generator.random()`` is (word >> 11) * 2**-53, so each value is that
+    uniform shifted into (0, 1), bit for bit. The result is the float64
+    view of ``words``.
+    """
+    words >>= 11
+    out = words.view(np.float64)
+    np.multiply(words.view(np.int64), 2.0**-53, out=out)
+    out += 2.0**-54
+    return out
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -311,20 +329,24 @@ def _run_block(
     n_max = cps[-1]
     snaps: dict[int, ScaledVector] = {}
     w_snaps: dict[int, np.ndarray] = {}
-    u_buf = np.empty((B, CHUNK, 2))
-    # the uniforms' buffer lies idle from the draws to the next refill
-    work = _Work(B, u_buf.reshape(-1))
+    u = np.empty((2, CHUNK, B))  # the uniforms of Q, then of M, by step
+    tile = np.empty((TILE, CHUNK, 2), np.uint64)
+    # the uniforms' buffer lies idle from the draws, which return new
+    # arrays, to the next refill
+    work = _Work(B, u.reshape(-1))
 
     t = 0
     next_cp = iter(cps)
     cp = next(next_cp)
     while t < n_max:
         c = min(CHUNK, n_max - t)
-        for j, g in enumerate(gens):
-            u_buf[j, :c] = g.random((c, 2))
-        u_q = np.add(u_buf[:, :c, 0].T, _U_SHIFT, order="C")
-        u_m = np.add(u_buf[:, :c, 1].T, _U_SHIFT, order="C")
-        qv, mv = model.scaled_draws(u_q, u_m)  # arrays shaped (c, B)
+        for b0 in range(0, B, TILE):
+            # a tile of trajectories, converted and transposed while in cache
+            b1 = min(b0 + TILE, B)
+            for j in range(b0, b1):
+                tile[j - b0, :c] = gens[j].bit_generator.random_raw(2 * c).reshape(c, 2)
+            u[:, :c, b0:b1] = _uniforms(tile[: b1 - b0, :c]).transpose(2, 1, 0)
+        qv, mv = model.scaled_draws(u[0, :c], u[1, :c])  # arrays shaped (c, B)
         if track_w:
             ql = vec_log_abs(qv)
             ml = vec_log_abs(mv)

@@ -116,7 +116,7 @@ def test_criterion_03_case_i_asym_symmetry():
 def test_criterion_04_case_ii_lognormal_positive():
     model = LogNormalPair(0.5, 1.0, QConstant(1.0))
     checkpoints = [100, 1000, 10_000]
-    _, values = normalized(model, checkpoints, 20_000, seed=104)
+    _, values = normalized(model, checkpoints, 20_000, seed=104, workers=2)
     law = lim.LogNormalPositive()
     ks = {
         n: ks_one_sample(np.abs(values[n]), lambda x: lim.cdf(law, x))
@@ -139,7 +139,7 @@ def test_criterion_04_case_ii_lognormal_positive():
 def test_criterion_05_case_iii_clt_exp_half_normal():
     model = LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0))
     checkpoints = [100, 1000, 10_000]
-    _, values = normalized(model, checkpoints, 20_000, seed=105)
+    _, values = normalized(model, checkpoints, 20_000, seed=105, workers=2)
     law = lim.ExpHalfNormal()
     ks = {
         n: ks_one_sample(values[n], lambda x: lim.cdf(law, x))
@@ -162,7 +162,7 @@ def test_criterion_05_case_iii_clt_exp_half_normal():
 def test_criterion_06_case_iii_evt_exp_frechet():
     model = LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0))
     assert tail_quantile(model, 10_000) == pytest.approx(10_000.0)
-    _, values = normalized(model, [10_000], 20_000, seed=106)
+    _, values = normalized(model, [10_000], 20_000, seed=106, workers=2)
     law = lim.ExpFrechet(-1.0)
     ks = ks_one_sample(values[10_000], lambda x: lim.cdf(law, x))
     ok = ks <= 0.05
@@ -174,7 +174,7 @@ def test_criterion_07_case_iv_gaussian():
     model = SignedUnit(0.75, QConstant(1.0))
     beta2 = beta_squared(analytic_moments(model))
     assert beta2 == pytest.approx(3.0)
-    _, values = normalized(model, [10_000], 10_000, seed=107)
+    _, values = normalized(model, [10_000], 10_000, seed=107, workers=2)
     vals = values[10_000]
     var = summary(vals).variance
     var_ok = abs(var - beta2) <= 0.05 * beta2

@@ -37,6 +37,8 @@ from perpsim.models import (
 )
 from perpsim.scaled import vec_add, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 from perpsim.simulate import (
+    BLOCK,
+    TILE,
     enumerate_exact,
     exact_moments_recursion,
     run_batch,
@@ -120,10 +122,10 @@ def exact_pair(model, u_q: float, u_m: float) -> tuple[Fraction, Fraction]:
     return q, m
 
 
-def exact_paths(model, checkpoints, count, master_seed) -> dict[int, list[Fraction]]:
-    """R_n of each trajectory, iterated in exact rational arithmetic."""
+def exact_paths(model, checkpoints, indices, master_seed) -> dict[int, list[Fraction]]:
+    """R_n of each trajectory in ``indices``, iterated in exact rational arithmetic."""
     out = {n: [] for n in checkpoints}
-    for i in range(count):
+    for i in indices:
         r = Fraction(0)
         u = trajectory_uniforms(master_seed, i, checkpoints[-1])
         for t, (u_q, u_m) in enumerate(u, start=1):
@@ -231,13 +233,13 @@ class TestRunTrajectory:
 class TestRunBatch:
     def test_n1_matches_trajectory(self):
         cps = [5, 45]
-        assert engine_paths(CASE_I_ASYM, cps, 1, 321) == exact_paths(CASE_I_ASYM, cps, 1, 321)
+        assert engine_paths(CASE_I_ASYM, cps, 1, 321) == exact_paths(CASE_I_ASYM, cps, range(1), 321)
 
     def test_every_index_matches_trajectory(self):
         # Case I rho = 2 with +-1 draws keeps R_n an integer below 2**46, so
         # every engine step is exact and must equal the rational recursion
         cps = [1, 20, 45]
-        assert engine_paths(CASE_I_ASYM, cps, 300, 77) == exact_paths(CASE_I_ASYM, cps, 300, 77)
+        assert engine_paths(CASE_I_ASYM, cps, 300, 77) == exact_paths(CASE_I_ASYM, cps, range(300), 77)
 
     @pytest.mark.parametrize(
         "model,cps,count",
@@ -252,7 +254,18 @@ class TestRunBatch:
         ],
     )
     def test_exact_rational_replay(self, model, cps, count):
-        assert engine_paths(model, cps, count, 515) == exact_paths(model, cps, count, 515)
+        assert engine_paths(model, cps, count, 515) == exact_paths(model, cps, range(count), 515)
+
+    def test_ragged_block_against_exact_replay(self):
+        # the second block holds trajectories 2048-2117: 70, not a multiple of
+        # the trajectories the fill transposes at once; the last stream
+        # refill is partial, 44 steps
+        model = SignedUnit(0.6, QRademacher(0.3))
+        cps, seed = [1, 255, 256, 257, 300], 515
+        picks = [0, 63, 64, TILE - 1, TILE, BLOCK - 1, BLOCK, BLOCK + 69]
+        batch = run_batch(model, cps, BLOCK + 70, seed)
+        want = exact_paths(model, cps, picks, seed)
+        assert {n: [Fraction(x) for x in batch.to_reals(n)[picks]] for n in cps} == want
 
     @pytest.mark.parametrize(
         "model",
@@ -517,3 +530,23 @@ class TestSeedDerivation:
 
     def test_master_seed_sensitivity(self):
         assert trajectory_seed(1, 0) != trajectory_seed(2, 0)
+
+
+class TestUniforms:
+    """The kernel's word-to-uniform step against ``Generator.random``."""
+
+    def test_matches_generator_random(self):
+        key = contract_key(2024, 5)
+        words = Philox(key=key).random_raw(10**5)
+        want = Generator(Philox(key=key)).random(10**5) + 2.0**-54
+        assert np.array_equal(simulate._uniforms(words).view(np.uint64), want.view(np.uint64))
+
+    def test_edge_words(self):
+        # with k the top 53 bits, k * 2**-53 + 2**-54 is exact below k = 2**52
+        # and a tie from there on, rounded to even: up to 1.0 for k = 2**53 - 1
+        top = [1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+        words = [0, 2**64 - 1] + [k << 11 for k in top] + [(k << 11) | 0x7FF for k in top]
+        got = simulate._uniforms(np.array(words, np.uint64))
+        want = [float(Fraction(w >> 11, 2**53) + Fraction(1, 2**54)) for w in words]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        assert got[1] == 1.0

@@ -106,6 +106,8 @@ def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
     finally:
         tracing.uninstall(saved)
     assert code == 0
-    recorded = {tracing.SPAN_NAMES[i] for i in tracer.name}
-    assert {"simulate.block", "models.draws", "stats.ks"} <= recorded
+    recorded = [tracing.SPAN_NAMES[i] for i in tracer.name]
+    assert {"simulate.block", "models.draws", "stats.ks"} <= set(recorded)
+    # one stream per trajectory, so the simulate.streams count means samples
+    assert recorded.count("simulate.generator") == config["samples"]
     assert all(getattr(o, a) is f for (o, a), f in zip(targets, originals))
