@@ -8,14 +8,17 @@ GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 is the usual finalizer (the
 key with index offset 0 is reserved for reference samplers). Each
 recursion step consumes exactly two 64-bit words from that stream, first
 for Q then for M, and a word w becomes the uniform
-``(w >> 11) * 2**-53 + 2**-54``: ``Generator.random()`` shifted by
-2**-54 into the open interval (0, 1), but for the top value of w >> 11,
-where the tie rounds to 1.0. The fill reads the raw words of ``TILE``
-trajectories at a time and converts and transposes them to step-major
-order while they are still in cache. Batches are processed in fixed
-blocks of ``BLOCK`` trajectories regardless of worker count, so output
-is bit-identical for any ``workers`` setting; results are gathered in
-trajectory order.
+``min((w >> 11) * 2**-53 + 2**-54, 1 - 2**-53)``: ``Generator.random()``
+shifted by 2**-54 into the open interval (0, 1). Only the top value of
+w >> 11 meets the clamp; its tie would round to 1.0. Philox is
+counter-based, so a block keeps one ``Philox`` and re-keys it through its
+``state`` for each trajectory and stream refill: after t steps (2t words,
+t even) a trajectory's stream sits at counter t/2 with an empty buffer.
+The fill reads the raw words of ``TILE`` trajectories at a time and
+converts and transposes them to step-major order while they are still in
+cache. Batches are processed in fixed blocks of ``BLOCK`` trajectories
+regardless of worker count, so output is bit-identical for any
+``workers`` setting; results are gathered in trajectory order.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
@@ -41,7 +44,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+# Generator is unused here but stays a module name: perfbench/tracing.py
+# wraps both names to count stream setup
+from numpy.random import Generator, Philox  # noqa: F401
 
 from .errors import (
     DomainError,
@@ -76,7 +81,9 @@ __all__ = [
 ]
 
 BLOCK = 2048  # trajectories per work unit; fixed so output ignores worker count
-CHUNK = 256  # recursion steps drawn per stream refill (sized for cache)
+# recursion steps per stream refill (sized for cache); even, so that a refill
+# ends on a whole Philox counter value
+CHUNK = 256
 TILE = 128  # trajectories whose uniforms are transposed together (sized for cache)
 
 ENUMERATION_GUARD = 10_000_000
@@ -106,13 +113,15 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     """Uniforms (word >> 11) * 2**-53 + 2**-54 of raw Philox words, in place.
 
     ``Generator.random()`` is (word >> 11) * 2**-53, so each value is that
-    uniform shifted into (0, 1), bit for bit. The result is the float64
-    view of ``words``.
+    uniform shifted into (0, 1), bit for bit, but for the word whose top
+    53 bits are all ones: its tie rounds to 1.0, clamped to 1 - 2**-53.
+    The result is the float64 view of ``words``.
     """
     words >>= 11
     out = words.view(np.float64)
     np.multiply(words.view(np.int64), 2.0**-53, out=out)
     out += 2.0**-54
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
     return out
 
 
@@ -317,10 +326,18 @@ def _run_block(
 ):
     """Vectorized kernel for trajectories [lo, hi); returns snapshots."""
     B = hi - lo
-    gens = [
-        Generator(Philox(key=trajectory_seed(master_seed, i)))
-        for i in range(lo, hi)
-    ]
+    keys = [trajectory_seed(master_seed, i) for i in range(lo, hi)]
+    # one Philox, re-keyed to each trajectory's stream at its counter
+    bits = Philox()
+    ctr, key = [0, 0, 0, 0], [0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": ctr, "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     # R = r * 2**E, renormalized to |r| in [1, 2) after every sub-block
     r = np.zeros(B)
     E = np.zeros(B, np.int64)
@@ -344,8 +361,11 @@ def _run_block(
             # a tile of trajectories, converted and transposed while in cache
             b1 = min(b0 + TILE, B)
             for j in range(b0, b1):
-                tile[j - b0, :c] = gens[j].bit_generator.random_raw(2 * c).reshape(c, 2)
+                key[0] = keys[j]
+                bits.state = state
+                tile[j - b0, :c] = bits.random_raw(2 * c).reshape(c, 2)
             u[:, :c, b0:b1] = _uniforms(tile[: b1 - b0, :c]).transpose(2, 1, 0)
+        ctr[0] += c // 2  # 2c words, four per counter value
         qv, mv = model.scaled_draws(u[0, :c], u[1, :c])  # arrays shaped (c, B)
         if track_w:
             ql = vec_log_abs(qv)

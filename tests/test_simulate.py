@@ -94,9 +94,9 @@ def contract_key(master_seed: int, index: int) -> int:
 def trajectory_uniforms(master_seed: int, index: int, n: int) -> np.ndarray:
     """The (n, 2) uniforms of one trajectory, by the stream contract:
     Philox keyed as in ``contract_key``, two uniforms per step (Q first,
-    then M), each shifted by 2**-54 into (0, 1)."""
+    then M), each shifted by 2**-54 into (0, 1), at most 1 - 2**-53."""
     gen = Generator(Philox(key=contract_key(master_seed, index)))
-    return gen.random((n, 2)) + 2.0**-54
+    return np.minimum(gen.random((n, 2)) + 2.0**-54, 1.0 - 2.0**-53)
 
 
 def exact_pair(model, u_q: float, u_m: float) -> tuple[Fraction, Fraction]:
@@ -264,6 +264,16 @@ class TestRunBatch:
         cps, seed = [1, 255, 256, 257, 300], 515
         picks = [0, 63, 64, TILE - 1, TILE, BLOCK - 1, BLOCK, BLOCK + 69]
         batch = run_batch(model, cps, BLOCK + 70, seed)
+        want = exact_paths(model, cps, picks, seed)
+        assert {n: [Fraction(x) for x in batch.to_reals(n)[picks]] for n in cps} == want
+
+    def test_rekeyed_stream_across_chunks(self):
+        # one Philox per block is re-keyed per trajectory and refill: three
+        # full refills of 256 steps, then an odd one of 1, in both blocks
+        model = SignedUnit(0.6, QRademacher(0.3))
+        cps, seed = [1, 256, 511, 512, 513, 769], 2718
+        picks = [0, 1, BLOCK - 1, BLOCK, BLOCK + 2]
+        batch = run_batch(model, cps, BLOCK + 3, seed)
         want = exact_paths(model, cps, picks, seed)
         assert {n: [Fraction(x) for x in batch.to_reals(n)[picks]] for n in cps} == want
 
@@ -543,10 +553,26 @@ class TestUniforms:
 
     def test_edge_words(self):
         # with k the top 53 bits, k * 2**-53 + 2**-54 is exact below k = 2**52
-        # and a tie from there on, rounded to even: up to 1.0 for k = 2**53 - 1
+        # and a tie from there on, rounded to even: up to 1.0 for k = 2**53 - 1,
+        # which is clamped to 1 - 2**-53
         top = [1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
         words = [0, 2**64 - 1] + [k << 11 for k in top] + [(k << 11) | 0x7FF for k in top]
         got = simulate._uniforms(np.array(words, np.uint64))
-        want = [float(Fraction(w >> 11, 2**53) + Fraction(1, 2**54)) for w in words]
+        want = [
+            min(float(Fraction(w >> 11, 2**53) + Fraction(1, 2**54)), 1 - 2**-53)
+            for w in words
+        ]
         assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
-        assert got[1] == 1.0
+        assert got[1] == 1 - 2**-53
+
+    def test_top_word_draws_are_finite(self):
+        u = simulate._uniforms(np.array([2**64 - 1], np.uint64))
+        model = LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0))
+        for v in model.scaled_draws(u, u):
+            assert np.isfinite(v.mantissa).all()
+            assert (np.abs(v.exponent) < 2**62).all()
+
+
+def test_chunk_is_even():
+    # the re-keyed streams advance their counter by CHUNK / 2 per refill
+    assert simulate.CHUNK % 2 == 0

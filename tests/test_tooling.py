@@ -108,6 +108,7 @@ def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
     assert code == 0
     recorded = [tracing.SPAN_NAMES[i] for i in tracer.name]
     assert {"simulate.block", "models.draws", "stats.ks"} <= set(recorded)
-    # one stream per trajectory, so the simulate.streams count means samples
-    assert recorded.count("simulate.generator") == config["samples"]
+    # one re-keyed Philox per block and no Generator in the kernel
+    assert recorded.count("simulate.philox") == 1
+    assert recorded.count("simulate.generator") == 0
     assert all(getattr(o, a) is f for (o, a), f in zip(targets, originals))
