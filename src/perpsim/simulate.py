@@ -16,7 +16,10 @@ counter-based, so a block keeps one ``Philox`` and re-keys it through its
 t even) a trajectory's stream sits at counter t/2 with an empty buffer.
 The fill reads the raw words of ``TILE`` trajectories at a time and
 converts and transposes them to step-major order while they are still in
-cache. Batches are processed in fixed blocks of ``BLOCK`` trajectories
+cache. ``CHUNK`` sets only how many steps a refill covers: a sub-block's
+Q and M are drawn from its own rows of the refill right before they are
+stepped, so the draws' memory scales with ``RENORM``, not ``CHUNK``.
+Batches are processed in fixed blocks of ``BLOCK`` trajectories
 regardless of worker count, so output is bit-identical for any
 ``workers`` setting; results are gathered in trajectory order.
 
@@ -81,9 +84,10 @@ __all__ = [
 ]
 
 BLOCK = 2048  # trajectories per work unit; fixed so output ignores worker count
-# recursion steps per stream refill (sized for cache); even, so that a refill
-# ends on a whole Philox counter value
-CHUNK = 256
+# recursion steps per stream refill, sized for the per-trajectory refill
+# calls alone since draws are made per sub-block; even, so that a refill ends
+# on a whole Philox counter value
+CHUNK = 512
 TILE = 128  # trajectories whose uniforms are transposed together (sized for cache)
 
 ENUMERATION_GUARD = 10_000_000
@@ -99,7 +103,8 @@ _STATE_LO = 2.0**-900
 _M_EXPONENT_LIMIT = 60
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """The splitmix64 finalizer of an int, or of each word of a uint64 array."""
     z &= _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
@@ -128,6 +133,12 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 def trajectory_seed(master_seed: int, index: int) -> int:
     """Stream key for trajectory ``index`` under ``master_seed``."""
     return _splitmix64(master_seed + (index + 1) * _GOLDEN)
+
+
+def _trajectory_keys(master_seed: int, lo: int, hi: int) -> list[int]:
+    """``trajectory_seed`` of trajectories [lo, hi), in wrapping uint64."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _splitmix64(z + np.uint64(master_seed & _MASK64)).tolist()
 
 
 def reference_seed(master_seed: int) -> int:
@@ -183,15 +194,12 @@ def _require_positive_for_w(model: PairModel) -> None:
 
 
 class _Work:
-    """Buffers of one sub-block's arithmetic, views of ``space`` if given."""
+    """Buffers of one sub-block's arithmetic."""
 
-    def __init__(self, B: int, space: np.ndarray | None = None) -> None:
-        n = RENORM * B
-        if space is None:
-            space = np.empty(3 * n + B)
-        self.h = space[: n + B].reshape(RENORM + 1, B)  # states r, from the start state
-        self.q = space[n + B : 2 * n + B].reshape(RENORM, B)  # Q * 2**-E
-        self.m = space[2 * n + B : 3 * n + B].reshape(RENORM, B)  # M, then scratch
+    def __init__(self, B: int) -> None:
+        self.h = np.empty((RENORM + 1, B))  # states r, from the start state
+        self.q = np.empty((RENORM, B))  # Q * 2**-E
+        self.m = np.empty((RENORM, B))  # M, then scratch
 
 
 def _native(v: ScaledVector, shift, out: np.ndarray) -> np.ndarray:
@@ -326,7 +334,7 @@ def _run_block(
 ):
     """Vectorized kernel for trajectories [lo, hi); returns snapshots."""
     B = hi - lo
-    keys = [trajectory_seed(master_seed, i) for i in range(lo, hi)]
+    keys = _trajectory_keys(master_seed, lo, hi)
     # one Philox, re-keyed to each trajectory's stream at its counter
     bits = Philox()
     ctr, key = [0, 0, 0, 0], [0, 0]
@@ -348,9 +356,7 @@ def _run_block(
     w_snaps: dict[int, np.ndarray] = {}
     u = np.empty((2, CHUNK, B))  # the uniforms of Q, then of M, by step
     tile = np.empty((TILE, CHUNK, 2), np.uint64)
-    # the uniforms' buffer lies idle from the draws, which return new
-    # arrays, to the next refill
-    work = _Work(B, u.reshape(-1))
+    work = _Work(B)
 
     t = 0
     next_cp = iter(cps)
@@ -366,24 +372,23 @@ def _run_block(
                 tile[j - b0, :c] = bits.random_raw(2 * c).reshape(c, 2)
             u[:, :c, b0:b1] = _uniforms(tile[: b1 - b0, :c]).transpose(2, 1, 0)
         ctr[0] += c // 2  # 2c words, four per counter value
-        qv, mv = model.scaled_draws(u[0, :c], u[1, :c])  # arrays shaped (c, B)
-        if track_w:
-            ql = vec_log_abs(qv)
-            ml = vec_log_abs(mv)
         j0 = 0
         while j0 < c:
-            # sub-blocks of at most RENORM steps, each ending at a checkpoint
+            # sub-blocks of at most RENORM steps, each ending at a checkpoint,
+            # drawn from their own rows: arrays shaped (j1 - j0, B)
             j1 = min(j0 + RENORM, c, j0 + cp - t)
-            R = _advance(r, E, _take(qv, slice(j0, j1)), _take(mv, slice(j0, j1)), work)
+            qv, mv = model.scaled_draws(u[0, j0:j1], u[1, j0:j1])
+            R = _advance(r, E, qv, mv, work)
             r, E = R
             if track_w:
                 # ln prod_{j<k} M_j summed one row at a time, as W's roundings need
+                ml = vec_log_abs(mv)
                 lp = work.h[: j1 - j0 + 1]
                 lp[0] = logprod
-                for j in range(j0, j1):
-                    np.add(lp[j - j0], ml[j], out=lp[j - j0 + 1])
+                for j in range(j1 - j0):
+                    np.add(lp[j], ml[j], out=lp[j + 1])
                 logprod = lp[-1].copy()
-                lp[:-1] += ql[j0:j1]
+                lp[:-1] += vec_log_abs(qv)
                 np.maximum(w, lp[:-1].max(axis=0), out=w)
             t += j1 - j0
             j0 = j1

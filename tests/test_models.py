@@ -31,7 +31,7 @@ from perpsim.models import (
     tail_quantile,
 )
 from perpsim.scaled import vec_to_real
-from perpsim.simulate import run_batch, trajectory_seed
+from perpsim.simulate import CHUNK, RENORM, _uniforms, run_batch, trajectory_seed
 
 
 def rng(seed=0):
@@ -142,6 +142,44 @@ class TestSamplePair:
         for u_q, u_m in u:
             r = (1 if u_q < 0.5 else -1) + (1 if u_m < 0.5 else -1) * r
         assert run_batch(model, [40], 1, master_seed=9).to_reals(40)[0] == r
+
+
+class TestDrawsElementwise:
+    """The engine draws each sub-block from its own rows of a stream refill,
+    so every family's draws must not depend on the rows drawn with them."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DiscreteJoint((((1.0, 2.0), 0.3), ((-1.0, 0.5), 0.4), ((2.0, -1.5), 0.3))),
+            CASE_I_ASYM,
+            ScaledRademacher(3.0, 0.4, QConstant(2.0)),
+            CASE_II_ABS,
+            CASE_III_CLT,
+            CASE_III_EVT,
+            CASE_III_BG,
+            CASE_III_BV,
+            SignedUnit(0.6, QLogNormal(0.0, 1.0)),
+        ],
+        ids=["discrete", "rademacher", "rademacher_const", "ii_abs", "iii_clt",
+             "iii_evt", "boundary_growing", "boundary_vanishing", "signed_unit"],
+    )
+    def test_slabs_concatenate_to_whole(self, model):
+        B = 37
+        words = Philox(key=trajectory_seed(7, 0)).random_raw(2 * CHUNK * B).reshape(2, CHUNK, B)
+        # the lowest and the clamped top uniform, also on slab edges
+        edges = [0, 1, RENORM - 1, RENORM, CHUNK - 1]
+        words[:, edges, :3] = 0
+        words[:, edges, 3:6] = 2**64 - 1
+        u = _uniforms(words)
+        whole = model.scaled_draws(u[0], u[1])
+        rows = sorted({*range(0, CHUNK, RENORM), 1, RENORM - 1, RENORM + 1, CHUNK - 1, CHUNK})
+        slabs = [model.scaled_draws(u[0, a:b], u[1, a:b]) for a, b in zip(rows, rows[1:])]
+        for k, v in enumerate(whole):
+            for f, part in enumerate(v):
+                joined = np.concatenate([s[k][f] for s in slabs])
+                assert joined.dtype == part.dtype
+                assert joined.tobytes() == part.tobytes()
 
 
 class TestAnalyticMoments:

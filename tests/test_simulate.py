@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,8 @@ from perpsim.models import (
 from perpsim.scaled import vec_add, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 from perpsim.simulate import (
     BLOCK,
+    CHUNK,
+    RENORM,
     TILE,
     enumerate_exact,
     exact_moments_recursion,
@@ -245,8 +248,12 @@ class TestRunBatch:
         "model,cps,count",
         [
             # Case IV; checkpoints on both sides of the 32-step native
-            # sub-blocks and of the 256-step stream refills
-            (SignedUnit(0.6, QRademacher(0.3)), [1, 31, 32, 33, 255, 256, 257, 600], 40),
+            # sub-blocks and of the CHUNK-step stream refills
+            (
+                SignedUnit(0.6, QRademacher(0.3)),
+                [1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 88],
+                40,
+            ),
             (SignedUnit(0.75, QConstant(3.0)), [600], 20),
             (FAIR_SIGN, [300], 20),
             # dyadic atoms stay exact in doubles for a dozen steps
@@ -261,7 +268,7 @@ class TestRunBatch:
         # the trajectories the fill transposes at once; the last stream
         # refill is partial, 44 steps
         model = SignedUnit(0.6, QRademacher(0.3))
-        cps, seed = [1, 255, 256, 257, 300], 515
+        cps, seed = [1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 44], 515
         picks = [0, 63, 64, TILE - 1, TILE, BLOCK - 1, BLOCK, BLOCK + 69]
         batch = run_batch(model, cps, BLOCK + 70, seed)
         want = exact_paths(model, cps, picks, seed)
@@ -269,9 +276,9 @@ class TestRunBatch:
 
     def test_rekeyed_stream_across_chunks(self):
         # one Philox per block is re-keyed per trajectory and refill: three
-        # full refills of 256 steps, then an odd one of 1, in both blocks
+        # full refills of CHUNK steps, then an odd one of 1, in both blocks
         model = SignedUnit(0.6, QRademacher(0.3))
-        cps, seed = [1, 256, 511, 512, 513, 769], 2718
+        cps, seed = [1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 1], 2718
         picks = [0, 1, BLOCK - 1, BLOCK, BLOCK + 2]
         batch = run_batch(model, cps, BLOCK + 3, seed)
         want = exact_paths(model, cps, picks, seed)
@@ -297,7 +304,7 @@ class TestRunBatch:
     def test_scaled_rounding_replay(self, model):
         # the native kernel must match the scaled arithmetic exactly wherever
         # doubles cannot: replayed in rationals with its rounding rules
-        cps, count, seed = [1, 31, 32, 33, 255, 256, 257, 400], 20, 5150
+        cps, count, seed = [1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 144], 20, 5150
         assert engine_values(model, cps, count, seed) == scaled_paths(model, cps, count, seed)
 
     def test_case_ii_takes_no_scaled_step(self, monkeypatch):
@@ -389,9 +396,9 @@ class TestRunBatch:
     def test_w_log_exact_replay(self):
         # W_n = ln max_k Q_k prod_{j<k} M_j, the largest term of the sum form,
         # rebuilt in exact rationals from each trajectory's own stream;
-        # 300 steps cross the engine's 256-step stream refills
+        # CHUNK + 44 steps cross the engine's CHUNK-step stream refills
         model = DiscreteJoint((((2.0, 2.0), 0.5), ((1.0, 0.5), 0.3), ((3.0, 1.5), 0.2)))
-        cps, count, seed = [1, 12, 31, 32, 33, 255, 256, 257, 300], 100, 77
+        cps, count, seed = [1, 12, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 44], 100, 77
         batch = run_batch(model, cps, count, seed, track_w=True)
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
@@ -408,7 +415,7 @@ class TestRunBatch:
         # the same diagnostic for III-clt: Q = e^Y and M = e^X mapped from the
         # stream through ndtri, each prefix sum of X correctly rounded by fsum
         model, q_law = CASE_III_CLT, CASE_III_CLT.q_law
-        cps, count, seed = [1, 50, 256, 400], 16, 93
+        cps, count, seed = [1, 50, CHUNK, CHUNK + 144], 16, 93
         batch = run_batch(model, cps, count, seed, track_w=True)
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
@@ -418,6 +425,25 @@ class TestRunBatch:
             for n in cps:
                 want = max(y[k] + log_prod[k] for k in range(n))
                 assert abs(batch.w_log(n)[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "model,track_w", [(CASE_II, False), (CASE_III_CLT, True)], ids=["ii", "iii_clt"]
+    )
+    def test_block_memory_is_refill_plus_slabs(self, model, track_w):
+        # draws are made per sub-block, so a block's peak is its refill
+        # buffers, its sub-block buffers and a few (RENORM, B) slabs: the
+        # draws' own memory does not grow with CHUNK
+        words = 2 * CHUNK * BLOCK + 2 * TILE * CHUNK + (3 * RENORM + 1) * BLOCK
+        budget = 8 * (words + 16 * RENORM * BLOCK)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate._run_block(model, (2 * CHUNK,), 0, BLOCK, 11, track_w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_samples_accessor(self):
         batch = run_batch(FAIR_SIGN, [3], 8, master_seed=1)
@@ -540,6 +566,17 @@ class TestSeedDerivation:
 
     def test_master_seed_sensitivity(self):
         assert trajectory_seed(1, 0) != trajectory_seed(2, 0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**64 - 1] + sorted(load_config(p).seed for p in CONFIGS.glob("*.json")),
+    )
+    def test_block_keys_match_scalar_keys(self, seed):
+        # a block's keys come from uint64 arrays; trajectory_seed is the
+        # reference, here over a range across the first block edge
+        lo, hi = BLOCK - 70, BLOCK + 70
+        want = [trajectory_seed(seed, i) for i in range(lo, hi)]
+        assert simulate._trajectory_keys(seed, lo, hi) == want
 
 
 class TestUniforms:
