@@ -10,7 +10,15 @@ class InvalidInputError(PerpsimError, ValueError):
 
 
 class ExponentOverflowError(PerpsimError, OverflowError):
-    """Scaled exponent left the supported range (|exponent| > 2**62)."""
+    """Scaled exponent left the supported range (|exponent| > 2**62).
+
+    ``index`` is the position of the offending value in its array, where
+    the raiser knows it.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class NativeRangeError(PerpsimError, OverflowError):

@@ -67,6 +67,19 @@ def _validate_prob(p: float, name: str) -> None:
         raise InvalidModelError(f"{name} must lie strictly in (0, 1), got {p}")
 
 
+def _sign_draws(u: np.ndarray, p: float, value: float) -> ScaledVector:
+    """value where u < p, else -value (value > 0), as a ScaledVector.
+
+    The mantissa is 2m * [u < p] - m for value's mantissa m, exact in
+    doubles; the exponent is value's own, broadcast read-only. Equal bit
+    for bit to ``vec_from_real(np.where(u < p, value, -value))``.
+    """
+    m, e = vec_from_real(np.array([value]))
+    mantissa = np.multiply(u < p, 2.0 * m[0])
+    mantissa -= m[0]
+    return ScaledVector(mantissa, np.broadcast_to(e[0], mantissa.shape))
+
+
 # ---------------------------------------------------------------------------
 # Q marginals
 # ---------------------------------------------------------------------------
@@ -105,7 +118,7 @@ class QRademacher:
         _validate_prob(self.p, "Rademacher p")
 
     def draws(self, u: np.ndarray) -> ScaledVector:
-        return vec_from_real(np.where(u < self.p, 1.0, -1.0))
+        return _sign_draws(u, self.p, 1.0)
 
     def moments(self) -> tuple[float, float]:
         return 2.0 * self.p - 1.0, 1.0
@@ -307,8 +320,7 @@ class ScaledRademacher:
             )
 
     def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        m = np.where(u_m < self.p, self.rho, -self.rho)
-        return self.q_law.draws(u_q), vec_from_real(m)
+        return self.q_law.draws(u_q), _sign_draws(u_m, self.p, self.rho)
 
     positive = False
 
@@ -353,8 +365,7 @@ class SignedUnit:
             raise InvalidModelError("SignedUnit requires a finite-variance Q")
 
     def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        m = np.where(u_m < self.p_m, 1.0, -1.0)
-        return self.q_law.draws(u_q), vec_from_real(m)
+        return self.q_law.draws(u_q), _sign_draws(u_m, self.p_m, 1.0)
 
     positive = False
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NativeRangeError
+from .errors import ExponentOverflowError, InvalidInputError, NativeRangeError
 
 __all__ = [
     "ScaledVector",
@@ -69,17 +69,29 @@ def vec_from_real(x: np.ndarray) -> ScaledVector:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("cannot represent non-finite values")
     m, e = np.frexp(x)
-    zero = m == 0.0
-    # -0.0 becomes the canonical zero (0.0, 0)
-    return ScaledVector(np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e.astype(np.int64) - 1))
+    # -0.0 becomes the canonical zero (0.0, 0): -0.0 + 0.0 is 0.0, and
+    # frexp gives zero the exponent 0
+    m *= 2.0
+    m += 0.0
+    return ScaledVector(m, np.subtract(e, m != 0.0, dtype=np.int64))
 
 
 def vec_from_log(log_values: np.ndarray) -> ScaledVector:
-    """e**log_values, positive."""
+    """e**log_values, positive.
+
+    Raises ExponentOverflowError, with the position of the first offender
+    as its ``index``, if an exponent is beyond +/-2**62 or not finite.
+    """
     # t turns from the base-2 log into the mantissa in place: a fresh array
     # per step costs more than its arithmetic at draw sizes
     t = np.multiply(log_values, _LOG2E, dtype=np.float64)
     e = np.floor(t)
+    # checked before the int64 cast, which would wrap; NaN fails it too
+    if not (-EXPONENT_LIMIT <= e.min(initial=0.0) and e.max(initial=0.0) <= EXPONENT_LIMIT):
+        index = np.unravel_index(np.argmin(np.abs(e) <= EXPONENT_LIMIT), e.shape)
+        raise ExponentOverflowError(
+            f"e**{float(log_values[index])!r} has an exponent beyond +/-2**62", index
+        )
     t -= e
     np.exp2(t, out=t)
     high = t >= 2.0

@@ -210,7 +210,8 @@ def _native(v: ScaledVector, shift, out: np.ndarray) -> np.ndarray:
     """
     bits = out.view(np.int64)
     np.subtract(v.exponent, shift, out=bits)
-    np.clip(bits, -1023, 1024, out=bits)
+    np.maximum(bits, -1023, out=bits)
+    np.minimum(bits, 1024, out=bits)
     bits += 1023
     bits <<= 52
     out *= v.mantissa
@@ -355,7 +356,7 @@ def _run_block(
     snaps: dict[int, ScaledVector] = {}
     w_snaps: dict[int, np.ndarray] = {}
     u = np.empty((2, CHUNK, B))  # the uniforms of Q, then of M, by step
-    tile = np.empty((TILE, CHUNK, 2), np.uint64)
+    tile = np.empty((TILE, 2 * CHUNK), np.uint64)  # raw words, by trajectory
     work = _Work(B)
 
     t = 0
@@ -369,15 +370,22 @@ def _run_block(
             for j in range(b0, b1):
                 key[0] = keys[j]
                 bits.state = state
-                tile[j - b0, :c] = bits.random_raw(2 * c).reshape(c, 2)
-            u[:, :c, b0:b1] = _uniforms(tile[: b1 - b0, :c]).transpose(2, 1, 0)
+                tile[j - b0, : 2 * c] = bits.random_raw(2 * c)
+            words = tile[: b1 - b0, : 2 * c].reshape(b1 - b0, c, 2)
+            u[:, :c, b0:b1] = _uniforms(words).transpose(2, 1, 0)
         ctr[0] += c // 2  # 2c words, four per counter value
         j0 = 0
         while j0 < c:
             # sub-blocks of at most RENORM steps, each ending at a checkpoint,
             # drawn from their own rows: arrays shaped (j1 - j0, B)
             j1 = min(j0 + RENORM, c, j0 + cp - t)
-            qv, mv = model.scaled_draws(u[0, j0:j1], u[1, j0:j1])
+            try:
+                qv, mv = model.scaled_draws(u[0, j0:j1], u[1, j0:j1])
+            except ExponentOverflowError as exc:  # from vec_from_log, at row j, column k
+                j, k = exc.index
+                raise ExponentOverflowError(
+                    f"trajectory {lo + k}: draw {exc} at n={t + j + 1}"
+                ) from None
             R = _advance(r, E, qv, mv, work)
             r, E = R
             if track_w:

@@ -335,6 +335,25 @@ class TestVerifyCommand:
             out2 / "checkpoints.csv"
         ).read_bytes()
 
+    def test_draw_exponent_overflow_exits_two(self, tmp_path, capsys):
+        # a log-Pareto Q with alpha = -0.25 draws e**(u**-4), which passes
+        # 2**(2**62) for u below about 2.4e-5
+        cfg = base_config(
+            model={
+                "family": "lognormal_pair",
+                "mu_x": 0.0,
+                "v2": 1.0,
+                "q": {"family": "log_pareto", "alpha": -0.25, "t0": 1.0},
+            },
+            checkpoints=[100, 1000],
+            samples=64,
+            seed=5,
+        )
+        path = write_config(tmp_path, cfg)
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "error: trajectory 34: draw e**" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     @staticmethod

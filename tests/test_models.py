@@ -182,6 +182,33 @@ class TestDrawsElementwise:
                 assert joined.tobytes() == part.tobytes()
 
 
+    @staticmethod
+    def where_draws(u, p, value):
+        """The sign draws as first built: np.where, then frexp with zero
+        canonical."""
+        m, e = np.frexp(np.where(u < p, value, -value))
+        zero = m == 0.0
+        return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e.astype(np.int64) - 1)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_sign_draws_match_where_formula(self, p):
+        # p's neighbours and p itself decide u < p; then the extreme uniforms
+        edge = [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0), 2.0**-54, 1.0 - 2.0**-53]
+        u = np.concatenate([edge, rng(11).random(43) + 2.0**-54]).reshape(6, 8)
+        q_p = 1.0 - p
+        cases = [
+            (QRademacher(p).draws(u), (p, 1.0)),
+            *zip(ScaledRademacher(3.0, p, QRademacher(q_p)).scaled_draws(u, u), [(q_p, 1.0), (p, 3.0)]),
+            *zip(SignedUnit(p, QRademacher(q_p)).scaled_draws(u, u), [(q_p, 1.0), (p, 1.0)]),
+            (ScaledRademacher(1.7976931348623157e308, p, QConstant(1.0)).scaled_draws(u, u)[1],
+             (p, 1.7976931348623157e308)),
+        ]
+        for got, (prob, value) in cases:
+            for part, want in zip(got, self.where_draws(u, prob, value)):
+                assert part.dtype == want.dtype and part.shape == want.shape
+                assert part.tobytes() == want.tobytes()
+
+
 class TestAnalyticMoments:
     def test_lognormal(self):
         mom = analytic_moments(LogNormalPair(0.3, 1.0, QConstant(1.0)))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 
 from perpsim.errors import ExponentOverflowError, InvalidInputError, NativeRangeError
-from perpsim.models import DiscreteJoint, analytic_moments, classify
+from perpsim.models import DiscreteJoint, LogNormalPair, QLogPareto, analytic_moments, classify
 from perpsim.normalize import _rho_power_factor, normalize_samples
 from perpsim.scaled import (
     ScaledVector,
@@ -22,7 +23,7 @@ from perpsim.scaled import (
     vec_mul,
     vec_to_real,
 )
-from perpsim.simulate import run_batch
+from perpsim.simulate import run_batch, trajectory_seed
 
 # Exclude subnormals: exactness is only promised on the normal range.
 normal_floats = st.floats(
@@ -97,6 +98,29 @@ class TestFromReal:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             vec_from_real(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [0.0],
+            [-0.0],
+            [5e-324],
+            [-5e-324],
+            [1.7976931348623157e308],
+            [-1.7976931348623157e308],
+            [[0.0, -5e-324, 3.0, -0.0], [1.7976931348623157e308, -1e-310, 0.1, -2.2250738585072014e-308]],
+        ],
+        ids=["zero", "neg_zero", "min_subnormal", "neg_min_subnormal", "max", "neg_max", "mixed"],
+    )
+    def test_matches_frexp_where_formula(self, xs):
+        # the decomposition as first built: np.where around frexp
+        x = np.array(xs)
+        m, e = np.frexp(x)
+        zero = m == 0.0
+        want = (np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e.astype(np.int64) - 1))
+        for part, w in zip(vec_from_real(x), want):
+            assert part.dtype == w.dtype and part.shape == w.shape
+            assert part.tobytes() == w.tobytes()
 
     @given(normal_floats)
     def test_round_trip(self, x):
@@ -303,6 +327,45 @@ class TestFromLog:
         with mpmath.workprec(200):
             rel = abs(mp_value(*pair(a)) / mpmath.exp(y) - 1)
         assert rel <= 4e-16 * (2.0 + abs(y))
+
+    # exponents past +/-2**62 are refused before the int64 cast
+    def test_log_pareto_draw_past_limit(self):
+        # y = 1e-6 ** -4 = 1e24, so e**y needs the exponent 1.44e24
+        with pytest.raises(ExponentOverflowError, match="beyond") as info:
+            QLogPareto(-0.25, 1.0).draws(np.array([1e-6]))
+        assert info.value.index == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e19, 1e19, math.inf, -math.inf, math.nan])
+    def test_offender_position(self, bad):
+        logs = np.array([[0.0, 1.0, 2.0], [3.0, bad, -bad]])
+        with pytest.raises(ExponentOverflowError) as info:
+            vec_from_log(logs)
+        assert info.value.index == (1, 1)
+
+    def test_limit_itself_is_kept(self):
+        # y log2 e is exactly +-2**62 here; one ulp further out is refused
+        logs = np.array([1.0, -1.0]) * 2.0**62 * math.log(2.0)
+        assert vec_from_log(logs).exponent.tolist() == [2**62, -(2**62)]
+        for y in np.nextafter(logs, logs * 2.0):
+            with pytest.raises(ExponentOverflowError):
+                vec_from_log(np.array([y]))
+
+    def test_run_batch_names_trajectory_and_step(self):
+        # the first step of any trajectory whose Q = e**(u**-4) passes
+        # 2**(2**62), read off each trajectory's own stream; ties in n go
+        # to the lower trajectory
+        count, horizon, seed = 64, 1000, 5
+        first = []
+        for i in range(count):
+            words = Philox(key=trajectory_seed(seed, i)).random_raw(2 * horizon)
+            u_q = (words[0::2] >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+            past = np.flatnonzero(u_q**-4.0 / math.log(2.0) >= 2.0**62 + 1.0)
+            if past.size:
+                first.append((int(past[0]) + 1, i))
+        n, traj = min(first)
+        model = LogNormalPair(0.0, 1.0, QLogPareto(-0.25, 1.0))
+        with pytest.raises(ExponentOverflowError, match=rf"^trajectory {traj}: .* at n={n}$"):
+            run_batch(model, [100, horizon], count, seed)
 
 
 class TestHelpers:

@@ -79,9 +79,12 @@ def test_ks_convergence_rows_are_verify_rows(tmp_path):
     assert got == [[r["n"], r["ks"], r["mean"], r["variance"]] for r in rows]
 
 
-def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
-    # perfbench/run.py --trace 1 wraps package names by attribute, so a
-    # rename in the package must fail here and not only in the benchmark
+def traced_run(tmp_path, command):
+    """``command`` on a small Case I config, under the span tracer that
+    perfbench/run.py --trace 1 installs: (tracing module, tracer, exit
+    code, output directory). The traced names are restored afterwards."""
+    # the tracer wraps package names by attribute, so a rename in the
+    # package must fail here and not only in the benchmark
     tracing = load_module(REPO / "perfbench" / "tracing.py")
     targets = [(owner, attr) for owner, attr, _, _ in tracing._targets()]
     targets.append((perpsim.simulate, "_run_block"))
@@ -99,16 +102,34 @@ def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    out = tmp_path / "out"
     tracer = tracing.Tracer(tmp_path)
     saved = tracing.install(tracer)
     try:
-        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
     finally:
         tracing.uninstall(saved)
+    assert all(getattr(o, a) is f for (o, a), f in zip(targets, originals))
+    return tracing, tracer, code, out
+
+
+def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
+    tracing, tracer, code, _ = traced_run(tmp_path, "verify")
     assert code == 0
     recorded = [tracing.SPAN_NAMES[i] for i in tracer.name]
     assert {"simulate.block", "models.draws", "stats.ks"} <= set(recorded)
     # one re-keyed Philox per block and no Generator in the kernel
     assert recorded.count("simulate.philox") == 1
     assert recorded.count("simulate.generator") == 0
-    assert all(getattr(o, a) is f for (o, a), f in zip(targets, originals))
+
+
+def test_benchmark_write_spans_cover_every_sample_csv(tmp_path):
+    # a cli.write span records the size of the file it wrote, so a file
+    # written around _write_csv or _write_json would be missing here and
+    # from the benchmark's cli.write_s and cli.bytes_written
+    tracing, tracer, code, out = traced_run(tmp_path, "sample")
+    assert code == 0
+    assert sorted(p.name for p in out.glob("samples_n*.csv")) == ["samples_n10.csv", "samples_n40.csv"]
+    write = tracing.NAME_ID["cli.write"]
+    sizes = [a for i, a in zip(tracer.name, tracer.amount) if i == write]
+    assert sorted(sizes) == sorted(p.stat().st_size for p in out.iterdir())
