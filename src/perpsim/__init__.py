@@ -51,7 +51,7 @@ from .simulate import (
     exact_moments_recursion,
     reference_seed,
     run_batch,
-    trajectory_seed,
+    stream_key,
 )
 from .stats import Summary, dkw_bound, ks_one_sample, ks_two_sample, summary
 

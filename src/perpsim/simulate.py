@@ -2,26 +2,25 @@
 
 Reproducibility contract
 ------------------------
-Trajectory i of a batch owns a private counter-based random stream:
-its Philox key is ``splitmix64(master_seed + (i + 1) * GOLDEN)`` where
-GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 is the usual finalizer (the
-key with index offset 0 is reserved for reference samplers). Each
-recursion step consumes exactly two 64-bit words from that stream, first
-for Q then for M, and a word w becomes the uniform
-``min((w >> 11) * 2**-53 + 2**-54, 1 - 2**-53)``: ``Generator.random()``
-shifted by 2**-54 into the open interval (0, 1). Only the top value of
-w >> 11 meets the clamp; its tie would round to 1.0. Philox is
-counter-based, so a block keeps one ``Philox`` and re-keys it through its
-``state`` for each trajectory and stream refill: after t steps (2t words,
-t even) a trajectory's stream sits at counter t/2 with an empty buffer.
-The fill reads the raw words of ``TILE`` trajectories at a time and
-converts and transposes them to step-major order while they are still in
-cache. ``CHUNK`` sets only how many steps a refill covers: a sub-block's
-Q and M are drawn from its own rows of the refill right before they are
-stepped, so the draws' memory scales with ``RENORM``, not ``CHUNK``.
-Batches are processed in fixed blocks of ``BLOCK`` trajectories
-regardless of worker count, so output is bit-identical for any
-``workers`` setting; results are gathered in trajectory order.
+Every trajectory of a batch draws from counter-based Philox4x64 under
+one key, ``stream_key(master_seed) = splitmix64(master_seed + GOLDEN)``
+with GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 the usual finalizer
+(``splitmix64(master_seed)`` itself is reserved for reference samplers).
+Trajectory i addresses its own part of the stream by counter: steps
+2p + 1 and 2p + 2 take the four words of the Philox block at counter
+(i + 1, p, 0, 0), in the order Q, M, Q, M. So each recursion step
+consumes exactly two 64-bit words, first for Q then for M, and a word w
+becomes the uniform ``min((w >> 11) * 2**-53 + 2**-54, 1 - 2**-53)``:
+``Generator.random()`` shifted by 2**-54 into the open interval (0, 1).
+Only the top value of w >> 11 meets the clamp; its tie would round to
+1.0. A block keeps one ``Philox``: for each step pair of a sub-block it
+sets the counter to (lo, p), lo the block's first trajectory, and one
+``random_raw`` call yields that pair for every trajectory of the block,
+right before the pair is stepped. A trajectory's stream depends on
+neither N nor its block. Batches are processed in fixed blocks of
+``BLOCK`` trajectories regardless of worker count, so output is
+bit-identical for any ``workers`` setting; results are gathered in
+trajectory order.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
@@ -72,11 +71,10 @@ from .scaled import (
 
 __all__ = [
     "BLOCK",
-    "CHUNK",
     "ENUMERATION_GUARD",
     "BatchResult",
     "ExactDistribution",
-    "trajectory_seed",
+    "stream_key",
     "reference_seed",
     "run_batch",
     "enumerate_exact",
@@ -84,11 +82,6 @@ __all__ = [
 ]
 
 BLOCK = 2048  # trajectories per work unit; fixed so output ignores worker count
-# recursion steps per stream refill, sized for the per-trajectory refill
-# calls alone since draws are made per sub-block; even, so that a refill ends
-# on a whole Philox counter value
-CHUNK = 512
-TILE = 128  # trajectories whose uniforms are transposed together (sized for cache)
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -104,7 +97,7 @@ _M_EXPONENT_LIMIT = 60
 
 
 def _splitmix64(z):
-    """The splitmix64 finalizer of an int, or of each word of a uint64 array."""
+    """The splitmix64 finalizer of a 64-bit word."""
     z &= _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
@@ -130,15 +123,9 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def trajectory_seed(master_seed: int, index: int) -> int:
-    """Stream key for trajectory ``index`` under ``master_seed``."""
-    return _splitmix64(master_seed + (index + 1) * _GOLDEN)
-
-
-def _trajectory_keys(master_seed: int, lo: int, hi: int) -> list[int]:
-    """``trajectory_seed`` of trajectories [lo, hi), in wrapping uint64."""
-    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _splitmix64(z + np.uint64(master_seed & _MASK64)).tolist()
+def stream_key(master_seed: int) -> int:
+    """Philox key of the trajectory streams of a batch under ``master_seed``."""
+    return _splitmix64(master_seed + _GOLDEN)
 
 
 def reference_seed(master_seed: int) -> int:
@@ -335,13 +322,12 @@ def _run_block(
 ):
     """Vectorized kernel for trajectories [lo, hi); returns snapshots."""
     B = hi - lo
-    keys = _trajectory_keys(master_seed, lo, hi)
-    # one Philox, re-keyed to each trajectory's stream at its counter
+    # one Philox; from counter (lo, p) it yields step pair p of each trajectory
     bits = Philox()
-    ctr, key = [0, 0, 0, 0], [0, 0]
+    ctr = [lo, 0, 0, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": ctr, "key": key},
+        "state": {"counter": ctr, "key": [stream_key(master_seed), 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -355,63 +341,57 @@ def _run_block(
     n_max = cps[-1]
     snaps: dict[int, ScaledVector] = {}
     w_snaps: dict[int, np.ndarray] = {}
-    u = np.empty((2, CHUNK, B))  # the uniforms of Q, then of M, by step
-    tile = np.empty((TILE, 2 * CHUNK), np.uint64)  # raw words, by trajectory
+    # the uniforms of Q, then of M, by step: a sub-block's pairs, one more
+    # row when it starts inside a pair
+    u = np.empty((2, RENORM + 2, B))
     work = _Work(B)
 
     t = 0
     next_cp = iter(cps)
     cp = next(next_cp)
     while t < n_max:
-        c = min(CHUNK, n_max - t)
-        for b0 in range(0, B, TILE):
-            # a tile of trajectories, converted and transposed while in cache
-            b1 = min(b0 + TILE, B)
-            for j in range(b0, b1):
-                key[0] = keys[j]
-                bits.state = state
-                tile[j - b0, : 2 * c] = bits.random_raw(2 * c)
-            words = tile[: b1 - b0, : 2 * c].reshape(b1 - b0, c, 2)
-            u[:, :c, b0:b1] = _uniforms(words).transpose(2, 1, 0)
-        ctr[0] += c // 2  # 2c words, four per counter value
-        j0 = 0
-        while j0 < c:
-            # sub-blocks of at most RENORM steps, each ending at a checkpoint,
-            # drawn from their own rows: arrays shaped (j1 - j0, B)
-            j1 = min(j0 + RENORM, c, j0 + cp - t)
-            try:
-                qv, mv = model.scaled_draws(u[0, j0:j1], u[1, j0:j1])
-            except ExponentOverflowError as exc:  # from vec_from_log, at row j, column k
-                j, k = exc.index
+        # sub-blocks of at most RENORM steps, each ending at a checkpoint,
+        # drawn from their own rows: arrays shaped (k, B)
+        k = min(RENORM, cp - t)
+        p0 = t // 2
+        for p in range(p0, (t + k + 1) // 2):
+            ctr[1] = p
+            bits.state = state
+            words = bits.random_raw(4 * B).reshape(B, 2, 2)
+            u[:, 2 * (p - p0) : 2 * (p - p0 + 1)] = _uniforms(words).transpose(2, 1, 0)
+        j0 = t % 2  # after an odd checkpoint, the second step of pair p0
+        try:
+            qv, mv = model.scaled_draws(u[0, j0 : j0 + k], u[1, j0 : j0 + k])
+        except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
+            j, i = exc.index
+            raise ExponentOverflowError(
+                f"trajectory {lo + i}: draw {exc} at n={t + j + 1}"
+            ) from None
+        R = _advance(r, E, qv, mv, work)
+        r, E = R
+        if track_w:
+            # ln prod_{j<k} M_j summed one row at a time, as W's roundings need
+            ml = vec_log_abs(mv)
+            lp = work.h[: k + 1]
+            lp[0] = logprod
+            for j in range(k):
+                np.add(lp[j], ml[j], out=lp[j + 1])
+            logprod = lp[-1].copy()
+            lp[:-1] += vec_log_abs(qv)
+            np.maximum(w, lp[:-1].max(axis=0), out=w)
+        t += k
+        if t == cp:
+            bad = np.abs(E) > EXPONENT_LIMIT
+            if np.any(bad):
+                i = int(np.argmax(bad))
                 raise ExponentOverflowError(
-                    f"trajectory {lo + k}: draw {exc} at n={t + j + 1}"
-                ) from None
-            R = _advance(r, E, qv, mv, work)
-            r, E = R
+                    f"trajectory {lo + i}: exponent "
+                    f"{int(E[i])} beyond +/-2**62 at n={t}"
+                )
+            snaps[t] = R
             if track_w:
-                # ln prod_{j<k} M_j summed one row at a time, as W's roundings need
-                ml = vec_log_abs(mv)
-                lp = work.h[: j1 - j0 + 1]
-                lp[0] = logprod
-                for j in range(j1 - j0):
-                    np.add(lp[j], ml[j], out=lp[j + 1])
-                logprod = lp[-1].copy()
-                lp[:-1] += vec_log_abs(qv)
-                np.maximum(w, lp[:-1].max(axis=0), out=w)
-            t += j1 - j0
-            j0 = j1
-            if t == cp:
-                bad = np.abs(E) > EXPONENT_LIMIT
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    raise ExponentOverflowError(
-                        f"trajectory {lo + k}: exponent "
-                        f"{int(E[k])} beyond +/-2**62 at n={t}"
-                    )
-                snaps[t] = R
-                if track_w:
-                    w_snaps[t] = w.copy()
-                cp = next(next_cp, n_max + 1)
+                w_snaps[t] = w.copy()
+            cp = next(next_cp, n_max + 1)
     return snaps, (w_snaps if track_w else None)
 
 

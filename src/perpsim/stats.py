@@ -68,23 +68,23 @@ class Summary:
 
 
 def summary(samples: Sequence[float] | np.ndarray) -> Summary:
-    """One-pass streaming mean/variance (Welford), with min/max/count."""
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    lo = math.inf
-    hi = -math.inf
-    for x in np.asarray(samples, dtype=float):
-        x = float(x)
-        n += 1
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
-        if x < lo:
-            lo = x
-        if x > hi:
-            hi = x
+    """Mean, unbiased variance, min, max and count of a sample set.
+
+    Mean and variance are NaN when any sample is not finite; min and max
+    ignore NaN. The samples are scaled by a power of two, which is exact,
+    so that no sum overflows.
+    """
+    x = np.asarray(samples, dtype=float).ravel()
+    n = x.size
     if n == 0:
         raise InvalidInputError("empty sample set")
-    variance = m2 / (n - 1) if n >= 2 else None
-    return Summary(mean, variance, lo, hi, n)
+    lo = float(np.fmin.reduce(x, initial=math.inf))
+    hi = float(np.fmax.reduce(x, initial=-math.inf))
+    if not np.isfinite(x).all():
+        return Summary(math.nan, math.nan if n >= 2 else None, lo, hi, n)
+    e = math.frexp(max(-lo, hi))[1]
+    x = np.ldexp(x, -e)
+    mean = x.mean()
+    d = np.square(x - mean)
+    variance = float(np.ldexp(d.sum() / (n - 1), 2 * e)) if n >= 2 else None
+    return Summary(float(np.ldexp(mean, e)), variance, lo, hi, n)

@@ -210,13 +210,15 @@ class TestVerifyCommand:
         assert manifest["config"]["monotone_slack"] == report["monotone_slack"] == slack
 
     def test_small_n_default_slack_passes(self, tmp_path):
-        # case2_abs at N = 2048: KS 0.0164 at n = 1000, then 0.0392 at
-        # n = 10**4, within the sampling noise of correct code at that N
+        # case2_abs at N = 2048: KS 0.0130 at n = 1000, then 0.0340 at
+        # n = 10**4, within the sampling noise of correct code at that N.
+        # Seed 575 is the first from 0 upward whose KS rises by more than
+        # 0.02 from n = 1000 to 10**4; seeds 0-574 all pass as well
         cfg = json.loads((CONFIGS / "case2_abs.json").read_text())
         path = write_config(tmp_path, dict(cfg, samples=2048))
         out = tmp_path / "out"
         code = main(["verify", "--config", str(path), "--out", str(out),
-                     "--seed", "15851", "--quiet"])
+                     "--seed", "575", "--quiet"])
         report = json.loads((out / "report.json").read_text())
         ks = [row["ks"] for row in report["checkpoints"]]
         assert ks[2] - ks[1] > 0.02
@@ -336,14 +338,15 @@ class TestVerifyCommand:
         ).read_bytes()
 
     def test_draw_exponent_overflow_exits_two(self, tmp_path, capsys):
-        # a log-Pareto Q with alpha = -0.25 draws e**(u**-4), which passes
-        # 2**(2**62) for u below about 2.4e-5
+        # a log-Pareto Q with alpha = -0.25 and t0 = 4e18 draws
+        # e**(4e18 u**-4), past 2**(2**62) = e**3.2e18 for every u, so the
+        # first step of trajectory 0 fails whatever the seed
         cfg = base_config(
             model={
                 "family": "lognormal_pair",
                 "mu_x": 0.0,
                 "v2": 1.0,
-                "q": {"family": "log_pareto", "alpha": -0.25, "t0": 1.0},
+                "q": {"family": "log_pareto", "alpha": -0.25, "t0": 4e18},
             },
             checkpoints=[100, 1000],
             samples=64,
@@ -352,7 +355,8 @@ class TestVerifyCommand:
         path = write_config(tmp_path, cfg)
         code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
-        assert "error: trajectory 34: draw e**" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory 0: draw e**") and err.endswith(" at n=1\n")
 
 
 class TestOracleCommand:
@@ -394,14 +398,17 @@ class TestOracleCommand:
 
     def test_bundled_seed_115_passes(self, tmp_path):
         # the worst of 10 checkpoints at delta = 0.01 overshoots 0.01 / 10 less
-        # often than 1%: seed 115 fails a per-checkpoint 1% band at n = 2
+        # often than 1%. Seed 46 is the first from 0 upward whose deviation
+        # leaves the per-checkpoint 1% band at some checkpoint (at n = 6);
+        # seeds 0-45 stay inside it at every checkpoint
         config = CONFIGS / "oracle_fair_sign.json"
         out = tmp_path / "out"
         code = main(["oracle", "--config", str(config), "--out", str(out),
-                     "--seed", "115", "--workers", "2", "--quiet"])
+                     "--seed", "46", "--workers", "2", "--quiet"])
         report = json.loads((out / "report.json").read_text())
         assert report["delta"] == pytest.approx(0.001)
-        assert report["checkpoints"][1]["deviation"] > cli.dkw_bound(100_000, 0.01)
+        band = cli.dkw_bound(100_000, 0.01)
+        assert max(row["deviation"] for row in report["checkpoints"]) > band
         assert code == 0 and report["passed"] is True
 
     def test_wrong_exact_law_fails(self, tmp_path, monkeypatch):

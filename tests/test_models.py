@@ -31,7 +31,8 @@ from perpsim.models import (
     tail_quantile,
 )
 from perpsim.scaled import vec_to_real
-from perpsim.simulate import CHUNK, RENORM, _uniforms, run_batch, trajectory_seed
+from perpsim.simulate import RENORM, _uniforms, run_batch
+from test_simulate import trajectory_uniforms
 
 
 def rng(seed=0):
@@ -136,16 +137,14 @@ class TestSamplePair:
         # step t of a trajectory reads row t of its stream's (n, 2)
         # uniforms, Q from the first column and M from the second
         model = SignedUnit(0.5, QRademacher(0.5))
-        gen = Generator(Philox(key=trajectory_seed(9, 0)))
-        u = gen.random((40, 2)) + 2.0**-54
         r = 0
-        for u_q, u_m in u:
+        for u_q, u_m in trajectory_uniforms(9, 0, 40):
             r = (1 if u_q < 0.5 else -1) + (1 if u_m < 0.5 else -1) * r
         assert run_batch(model, [40], 1, master_seed=9).to_reals(40)[0] == r
 
 
 class TestDrawsElementwise:
-    """The engine draws each sub-block from its own rows of a stream refill,
+    """The engine draws each sub-block from its own rows of the streams,
     so every family's draws must not depend on the rows drawn with them."""
 
     @pytest.mark.parametrize(
@@ -165,15 +164,15 @@ class TestDrawsElementwise:
              "iii_evt", "boundary_growing", "boundary_vanishing", "signed_unit"],
     )
     def test_slabs_concatenate_to_whole(self, model):
-        B = 37
-        words = Philox(key=trajectory_seed(7, 0)).random_raw(2 * CHUNK * B).reshape(2, CHUNK, B)
+        B, n = 37, 16 * RENORM
+        words = Philox(key=7).random_raw(2 * n * B).reshape(2, n, B)
         # the lowest and the clamped top uniform, also on slab edges
-        edges = [0, 1, RENORM - 1, RENORM, CHUNK - 1]
+        edges = [0, 1, RENORM - 1, RENORM, n - 1]
         words[:, edges, :3] = 0
         words[:, edges, 3:6] = 2**64 - 1
         u = _uniforms(words)
         whole = model.scaled_draws(u[0], u[1])
-        rows = sorted({*range(0, CHUNK, RENORM), 1, RENORM - 1, RENORM + 1, CHUNK - 1, CHUNK})
+        rows = sorted({*range(0, n, RENORM), 1, RENORM - 1, RENORM + 1, n - 1, n})
         slabs = [model.scaled_draws(u[0, a:b], u[1, a:b]) for a, b in zip(rows, rows[1:])]
         for k, v in enumerate(whole):
             for f, part in enumerate(v):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Philox
 
 from perpsim.errors import ExponentOverflowError, InvalidInputError, NativeRangeError
 from perpsim.models import DiscreteJoint, LogNormalPair, QLogPareto, analytic_moments, classify
@@ -23,7 +22,8 @@ from perpsim.scaled import (
     vec_mul,
     vec_to_real,
 )
-from perpsim.simulate import run_batch, trajectory_seed
+from perpsim.simulate import run_batch
+from test_simulate import trajectory_uniforms
 
 # Exclude subnormals: exactness is only promised on the normal range.
 normal_floats = st.floats(
@@ -357,8 +357,7 @@ class TestFromLog:
         count, horizon, seed = 64, 1000, 5
         first = []
         for i in range(count):
-            words = Philox(key=trajectory_seed(seed, i)).random_raw(2 * horizon)
-            u_q = (words[0::2] >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+            u_q = trajectory_uniforms(seed, i, horizon)[:, 0]
             past = np.flatnonzero(u_q**-4.0 / math.log(2.0) >= 2.0**62 + 1.0)
             if past.size:
                 first.append((int(past[0]) + 1, i))

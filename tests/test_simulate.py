@@ -39,13 +39,12 @@ from perpsim.models import (
 from perpsim.scaled import vec_add, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 from perpsim.simulate import (
     BLOCK,
-    CHUNK,
     RENORM,
-    TILE,
     enumerate_exact,
     exact_moments_recursion,
+    reference_seed,
     run_batch,
-    trajectory_seed,
+    stream_key,
 )
 from perpsim.stats import dkw_bound
 
@@ -62,13 +61,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # bytes, the exponent int64 bytes, then w_log where tracked. A change to the
 # streams, the draw transforms or the arithmetic of the recursion shows here.
 ENGINE_DIGESTS = {
-    "case1_asym": "e09da2647d5f43f01c87b7660b83d8aa920565dd22652ffbba696a8f490893fe",
-    "case1_sym": "cd78ba6d6e7140f47887f315c6e5983af4d05884259f5dc09c454246a0f9b678",
-    "case2_abs": "154d7647f9eac4cdb8353e4c731227d965b2d7a83484f8e7e5c77b21f08d9d6c",
-    "case3_clt": "d1f1caa2c199fc99622ee345c5d7642dbc8327cf44bf8935cc67e7caf06149c4",
-    "case3_evt": "4a3c4cd16ed635badfe84a94f1010faf7bd11877abe47cb9461864420926fa0b",
-    "case4": "f182c05a93f8b9a34f16d0c1b1e62832cae3d0209726d33883be40fd68f942e3",
-    "oracle_fair_sign": "a3d94d2ab4faacb31c1fc3e463581b3310168c8bc5f17b53dbf94b0cab283a0f",
+    "case1_asym": "fe9c62f5d6445e6ce853af4d3e567f4141c07aa4d6a9ff134a396f300e9e3402",
+    "case1_sym": "ed348cfb2c8489f3f8b1c5ba6f039a37e2bcb884510446149454bc8195df88af",
+    "case2_abs": "60adc2a9fb1a7729db7c4192c65ead86a5e328b40da74a0b62d693d57606ed78",
+    "case3_clt": "6ef62b85ea8d4a8b0b7d324a59be663633a13c120e6d0c15a1378995f80c5d84",
+    "case3_evt": "8d6f43c1d295b186fd0baad3b32a37af78d6cc7e04024666d69fb8b94f36ef15",
+    "case4": "d0177b0bc869c506408a52989b39228f08068994bd3d0f55894540e2e5a1c688",
+    "oracle_fair_sign": "f1bf1d5047c2d8d22d8f7931778a39bd2035a2f1bf49f21d65e5e37f6560d306",
 }
 
 
@@ -85,10 +84,10 @@ def brute_force_law(model: DiscreteJoint, n: int) -> dict[float, float]:
     return law
 
 
-def contract_key(master_seed: int, index: int) -> int:
-    """splitmix64(master_seed + (index + 1) * 0x9E3779B97F4A7C15)."""
+def contract_key(master_seed: int) -> int:
+    """splitmix64(master_seed + 0x9E3779B97F4A7C15)."""
     mask = (1 << 64) - 1
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (master_seed + 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
@@ -96,10 +95,17 @@ def contract_key(master_seed: int, index: int) -> int:
 
 def trajectory_uniforms(master_seed: int, index: int, n: int) -> np.ndarray:
     """The (n, 2) uniforms of one trajectory, by the stream contract:
-    Philox keyed as in ``contract_key``, two uniforms per step (Q first,
-    then M), each shifted by 2**-54 into (0, 1), at most 1 - 2**-53."""
-    gen = Generator(Philox(key=contract_key(master_seed, index)))
-    return np.minimum(gen.random((n, 2)) + 2.0**-54, 1.0 - 2.0**-53)
+    Philox keyed as in ``contract_key``; steps 2p + 1 and 2p + 2 take the
+    block at counter (index + 1, p), the first that a Philox set to counter
+    (index, p) yields; two uniforms per step (Q first, then M), each
+    shifted by 2**-54 into (0, 1), at most 1 - 2**-53."""
+    key = contract_key(master_seed)
+    pairs = [
+        Generator(Philox(key=key, counter=index + (p << 64))).random(4)
+        for p in range((n + 1) // 2)
+    ]
+    u = np.concatenate(pairs).reshape(-1, 2)[:n]
+    return np.minimum(u + 2.0**-54, 1.0 - 2.0**-53)
 
 
 def exact_pair(model, u_q: float, u_m: float) -> tuple[Fraction, Fraction]:
@@ -248,12 +254,8 @@ class TestRunBatch:
         "model,cps,count",
         [
             # Case IV; checkpoints on both sides of the 32-step native
-            # sub-blocks and of the CHUNK-step stream refills
-            (
-                SignedUnit(0.6, QRademacher(0.3)),
-                [1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 88],
-                40,
-            ),
+            # sub-blocks, odd ones inside a step pair of the stream
+            (SignedUnit(0.6, QRademacher(0.3)), [1, 2, 5, 31, 32, 33, 64, 97], 40),
             (SignedUnit(0.75, QConstant(3.0)), [600], 20),
             (FAIR_SIGN, [300], 20),
             # dyadic atoms stay exact in doubles for a dozen steps
@@ -264,21 +266,21 @@ class TestRunBatch:
         assert engine_paths(model, cps, count, 515) == exact_paths(model, cps, range(count), 515)
 
     def test_ragged_block_against_exact_replay(self):
-        # the second block holds trajectories 2048-2117: 70, not a multiple of
-        # the trajectories the fill transposes at once; the last stream
-        # refill is partial, 44 steps
+        # the second block holds trajectories 2048-2117, 70 of them, and
+        # sets its counters from 2048
         model = SignedUnit(0.6, QRademacher(0.3))
-        cps, seed = [1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 44], 515
-        picks = [0, 63, 64, TILE - 1, TILE, BLOCK - 1, BLOCK, BLOCK + 69]
+        cps, seed = [1, 31, 32, 33, 45], 515
+        picks = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 69]
         batch = run_batch(model, cps, BLOCK + 70, seed)
         want = exact_paths(model, cps, picks, seed)
         assert {n: [Fraction(x) for x in batch.to_reals(n)[picks]] for n in cps} == want
 
     def test_rekeyed_stream_across_chunks(self):
-        # one Philox per block is re-keyed per trajectory and refill: three
-        # full refills of CHUNK steps, then an odd one of 1, in both blocks
+        # one Philox per block is set to each step pair's counter: after an
+        # odd checkpoint a sub-block starts inside a pair and draws it again,
+        # in both blocks
         model = SignedUnit(0.6, QRademacher(0.3))
-        cps, seed = [1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 1], 2718
+        cps, seed = [1, 3, 4, 35, 67, 68, 70], 2718
         picks = [0, 1, BLOCK - 1, BLOCK, BLOCK + 2]
         batch = run_batch(model, cps, BLOCK + 3, seed)
         want = exact_paths(model, cps, picks, seed)
@@ -304,7 +306,7 @@ class TestRunBatch:
     def test_scaled_rounding_replay(self, model):
         # the native kernel must match the scaled arithmetic exactly wherever
         # doubles cannot: replayed in rationals with its rounding rules
-        cps, count, seed = [1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 144], 20, 5150
+        cps, count, seed = [1, 31, 32, 33, 63, 64, 65, 144], 20, 5150
         assert engine_values(model, cps, count, seed) == scaled_paths(model, cps, count, seed)
 
     def test_case_ii_takes_no_scaled_step(self, monkeypatch):
@@ -395,10 +397,9 @@ class TestRunBatch:
 
     def test_w_log_exact_replay(self):
         # W_n = ln max_k Q_k prod_{j<k} M_j, the largest term of the sum form,
-        # rebuilt in exact rationals from each trajectory's own stream;
-        # CHUNK + 44 steps cross the engine's CHUNK-step stream refills
+        # rebuilt in exact rationals from each trajectory's own stream
         model = DiscreteJoint((((2.0, 2.0), 0.5), ((1.0, 0.5), 0.3), ((3.0, 1.5), 0.2)))
-        cps, count, seed = [1, 12, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 44], 100, 77
+        cps, count, seed = [1, 12, 31, 32, 33, 63, 64, 65, 100], 100, 77
         batch = run_batch(model, cps, count, seed, track_w=True)
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
@@ -415,7 +416,7 @@ class TestRunBatch:
         # the same diagnostic for III-clt: Q = e^Y and M = e^X mapped from the
         # stream through ndtri, each prefix sum of X correctly rounded by fsum
         model, q_law = CASE_III_CLT, CASE_III_CLT.q_law
-        cps, count, seed = [1, 50, CHUNK, CHUNK + 144], 16, 93
+        cps, count, seed = [1, 33, 50, 144], 16, 93
         batch = run_batch(model, cps, count, seed, track_w=True)
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
@@ -430,16 +431,17 @@ class TestRunBatch:
         "model,track_w", [(CASE_II, False), (CASE_III_CLT, True)], ids=["ii", "iii_clt"]
     )
     def test_block_memory_is_refill_plus_slabs(self, model, track_w):
-        # draws are made per sub-block, so a block's peak is its refill
-        # buffers, its sub-block buffers and a few (RENORM, B) slabs: the
-        # draws' own memory does not grow with CHUNK
-        words = 2 * CHUNK * BLOCK + 2 * TILE * CHUNK + (3 * RENORM + 1) * BLOCK
-        budget = 8 * (words + 16 * RENORM * BLOCK)
+        # uniforms are drawn per step pair right before they are stepped, so
+        # a block's peak is one sub-block's uniforms, one pair's raw words,
+        # the sub-block buffers and a few (RENORM, B) slabs of draws: none
+        # of it grows with the horizon
+        words = 2 * (RENORM + 2) * BLOCK + 4 * BLOCK + (3 * RENORM + 1) * BLOCK
+        budget = 8 * (words + 12 * RENORM * BLOCK)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            simulate._run_block(model, (2 * CHUNK,), 0, BLOCK, 11, track_w)
+            simulate._run_block(model, (1024,), 0, BLOCK, 11, track_w)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -561,29 +563,36 @@ class TestDistributionalIdentity:
 
 class TestSeedDerivation:
     def test_distinct_keys(self):
-        keys = {trajectory_seed(123, i) for i in range(10_000)}
+        keys = {stream_key(s) for s in range(10_000)}
         assert len(keys) == 10_000
 
     def test_master_seed_sensitivity(self):
-        assert trajectory_seed(1, 0) != trajectory_seed(2, 0)
+        assert stream_key(1) != stream_key(2)
 
-    @pytest.mark.parametrize(
-        "seed",
-        [0, 1, 2**64 - 1] + sorted(load_config(p).seed for p in CONFIGS.glob("*.json")),
-    )
-    def test_block_keys_match_scalar_keys(self, seed):
-        # a block's keys come from uint64 arrays; trajectory_seed is the
-        # reference, here over a range across the first block edge
-        lo, hi = BLOCK - 70, BLOCK + 70
-        want = [trajectory_seed(seed, i) for i in range(lo, hi)]
-        assert simulate._trajectory_keys(seed, lo, hi) == want
+    @pytest.mark.parametrize("seed", sorted(load_config(p).seed for p in CONFIGS.glob("*.json")))
+    def test_stream_key_is_not_reference_seed(self, seed):
+        # with one key, pair 0 of every trajectory would repeat the first
+        # blocks of the reference sampler's stream
+        assert stream_key(seed) == contract_key(seed)
+        assert stream_key(seed) != reference_seed(seed)
+
+    def test_trajectory_stream_ignores_count(self):
+        # trajectory i draws from counters (i + 1, p) whatever N is, so its
+        # snapshots at N = BLOCK + 2 recur at N = 2 * BLOCK + 5
+        model, cps, seed = CASE_I_ASYM, [1, 7, 32, 33], 606
+        small = run_batch(model, cps, BLOCK + 2, seed)
+        large = run_batch(model, cps, 2 * BLOCK + 5, seed)
+        picks = [0, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1]
+        for n in cps:
+            for a, b in zip(small.vectors(n), large.vectors(n)):
+                assert a[picks].tobytes() == b[picks].tobytes()
 
 
 class TestUniforms:
     """The kernel's word-to-uniform step against ``Generator.random``."""
 
     def test_matches_generator_random(self):
-        key = contract_key(2024, 5)
+        key = contract_key(2024)
         words = Philox(key=key).random_raw(10**5)
         want = Generator(Philox(key=key)).random(10**5) + 2.0**-54
         assert np.array_equal(simulate._uniforms(words).view(np.uint64), want.view(np.uint64))
@@ -609,7 +618,3 @@ class TestUniforms:
             assert np.isfinite(v.mantissa).all()
             assert (np.abs(v.exponent) < 2**62).all()
 
-
-def test_chunk_is_even():
-    # the re-keyed streams advance their counter by CHUNK / 2 per refill
-    assert simulate.CHUNK % 2 == 0

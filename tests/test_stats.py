@@ -117,3 +117,39 @@ class TestSummary:
         s = summary(xs)
         assert s.mean == pytest.approx(np.mean(xs), rel=1e-9, abs=1e-9)
         assert s.variance == pytest.approx(np.var(xs, ddof=1), rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[1.0, math.inf, 2.0], [1.0, 2.0, math.inf], [-math.inf, 1.0], [1.0, math.nan, 2.0]],
+    )
+    def test_non_finite_sample_gives_nan_moments(self, xs):
+        # in any order; min and max still skip NaN
+        s = summary(xs)
+        assert math.isnan(s.mean) and math.isnan(s.variance)
+        finite = [x for x in xs if not math.isnan(x)]
+        assert (s.min, s.max, s.n) == (min(finite), max(finite), len(xs))
+
+    @staticmethod
+    def welford(xs):
+        """The one-pass streaming mean and variance summary once used."""
+        n, mean, m2 = 0, 0.0, 0.0
+        for x in xs:
+            n += 1
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
+        return mean, m2 / (n - 1)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e5, 1e150])
+    def test_matches_welford_on_finite_data(self, scale):
+        g = Generator(Philox(key=7))
+        xs = (g.standard_normal(20_000) + 3.0) * scale
+        mean, variance = self.welford(xs.tolist())
+        s = summary(xs)
+        assert s.mean == pytest.approx(mean, rel=1e-12)
+        assert s.variance == pytest.approx(variance, rel=1e-12)
+        assert (s.min, s.max) == (xs.min(), xs.max())
+
+    def test_sums_do_not_overflow(self):
+        s = summary([1.5e308, 1.5e308, 1.5e308])
+        assert (s.mean, s.variance) == (1.5e308, 0.0)
