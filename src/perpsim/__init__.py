@@ -9,50 +9,3 @@ checks the normalized samples against the predicted limit law with
 Kolmogorov-Smirnov distances calibrated by DKW bounds. Exact enumeration and moment-recursion
 oracles cover small discrete models.
 """
-
-from .errors import (
-    ConfigError,
-    DomainError,
-    ExponentOverflowError,
-    InvalidArgumentsError,
-    InvalidInputError,
-    InvalidModelError,
-    NativeRangeError,
-    PerpsimError,
-    TooLargeError,
-    UnavailableError,
-    UnsupportedError,
-)
-from .models import (
-    DiscreteJoint,
-    LogNormalPair,
-    Moments,
-    PairModel,
-    QConstant,
-    QLaw,
-    QLogBoundary,
-    QLogNormal,
-    QLogPareto,
-    QRademacher,
-    RegimeReport,
-    ScaledRademacher,
-    SignedUnit,
-    analytic_moments,
-    beta_squared,
-    classify,
-    sign_gap,
-    tail_quantile,
-)
-from .normalize import normalize_samples
-from .simulate import (
-    BatchResult,
-    ExactDistribution,
-    enumerate_exact,
-    exact_moments_recursion,
-    reference_seed,
-    run_batch,
-    stream_key,
-)
-from .stats import Summary, dkw_bound, ks_one_sample, ks_two_sample, summary
-
-__version__ = "0.1.0"

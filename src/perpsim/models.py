@@ -389,7 +389,6 @@ class Moments:
     mean_q: float
     mean_q2: float
     mean_qm: float
-    exact: bool = True
 
 
 def analytic_moments(model: PairModel) -> Moments:

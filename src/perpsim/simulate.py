@@ -17,10 +17,10 @@ Only the top value of w >> 11 meets the clamp; its tie would round to
 sets the counter to (lo, p), lo the block's first trajectory, and one
 ``random_raw`` call yields that pair for every trajectory of the block,
 right before the pair is stepped. A trajectory's stream depends on
-neither N nor its block. Batches are processed in fixed blocks of
-``BLOCK`` trajectories regardless of worker count, so output is
-bit-identical for any ``workers`` setting; results are gathered in
-trajectory order.
+neither N nor its block, and every step, screen and fallback acts on
+each trajectory alone. So output is bit-identical for any split into
+blocks (``BLOCK`` trajectories each) and any ``workers`` setting;
+results are gathered in trajectory order.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
@@ -29,9 +29,10 @@ back to [1, 2) every ``RENORM`` steps and at every checkpoint, where
 (r, E) is the snapshot, a ``ScaledVector``. A screen after each such
 sub-block finds every step whose native result may differ from the
 scaled arithmetic of ``perpsim.scaled`` (a state near the ends of double
-range, an extreme M, a Q lost to underflow), and only those trajectories
-redo those steps with ``vec_add``/``vec_mul``. So every snapshot is
-bit-identical to the scaled recursion
+range, an extreme M, a Q lost to underflow). A trajectory with such a
+step takes the first one with ``vec_add``/``vec_mul`` and reruns the
+sub-block natively from there, until no inexact step is left. So every
+snapshot is bit-identical to the scaled recursion
 ``R = vec_add(q, vec_mul(m, R))`` run one step at a time. With
 ``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j, a Case III
 diagnostic, in native floats. The tests replay single trajectories from
@@ -81,7 +82,7 @@ __all__ = [
     "exact_moments_recursion",
 ]
 
-BLOCK = 2048  # trajectories per work unit; fixed so output ignores worker count
+BLOCK = 2048  # trajectories per work unit; output does not depend on it
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -138,15 +139,9 @@ class BatchResult:
 
     def __init__(
         self,
-        checkpoints: tuple[int, ...],
-        count: int,
-        master_seed: int,
         vectors: dict[int, ScaledVector],
         w_logs: dict[int, np.ndarray] | None,
     ) -> None:
-        self.checkpoints = checkpoints
-        self.count = count
-        self.master_seed = master_seed
         self._vectors = vectors
         self._w_logs = w_logs
 
@@ -215,12 +210,10 @@ def _take(v: ScaledVector, idx) -> ScaledVector:
     return ScaledVector(v.mantissa[idx], v.exponent[idx])
 
 
-def _native_pass(r, E, q: ScaledVector, m: ScaledVector, after=None, work=None):
+def _native_pass(r, E, q: ScaledVector, m: ScaledVector, work=None):
     """States of R = r * 2**E stepped in doubles: h[j + 1] = m_j h[j] + q_j 2**-E.
 
-    With ``after`` (one step index per trajectory), a trajectory holds r
-    through its step ``after`` and steps natively past it. Returns the
-    states h, shaped (k + 1, B), and the native Q.
+    Returns the states h, shaped (k + 1, B), and the native Q.
     """
     k, B = q.mantissa.shape
     if work is None:
@@ -231,13 +224,9 @@ def _native_pass(r, E, q: ScaledVector, m: ScaledVector, after=None, work=None):
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         _native(q, E, qn)
         _native(m, 0, mn)
-        if after is None:
-            for j in range(k):
-                np.multiply(mn[j], h[j], out=h[j + 1])
-                h[j + 1] += qn[j]
-        else:
-            for j in range(k):
-                h[j + 1] = np.where(j > after, mn[j] * h[j] + qn[j], h[j])
+        for j in range(k):
+            np.multiply(mn[j], h[j], out=h[j + 1])
+            h[j + 1] += qn[j]
     return h, qn
 
 
@@ -275,41 +264,42 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
     """R = r * 2**E after the steps of draws q, m (shaped (k, B)).
 
     Bit-identical to k rounds of R = vec_add(q_j, vec_mul(m_j, R)). Every
-    trajectory first steps natively. One whose native run may not be exact
-    takes its first such step in scaled arithmetic and steps natively again
-    from the result: a lone huge Q from a log-tailed law resets the scale
-    this way. One that fails again steps in scaled arithmetic from its next
-    inexact step to the end.
+    trajectory first steps natively. While a trajectory's native run has an
+    inexact step, it takes the first one in scaled arithmetic and reruns
+    natively from the result, every step through that one held as
+    R = 1 * R + 0: a lone huge Q from a log-tailed law resets the scale this
+    way. A held step is exact in doubles, so the first inexact step moves
+    forward and the loop ends within k rounds; a law whose every step is
+    inexact (|M| = 2**80) takes all k, each over the steps left.
     """
     k = q.mantissa.shape[0]
     h, qn = _native_pass(r, E, q, m, work=work)
     r_end, E_end = h[-1].copy(), E.copy()
-    cols = (slice(None), np.flatnonzero(_suspect(h, m, work)))
-    bad = _inexact(h[cols], qn[cols], _take(q, cols), _take(m, cols))
-    failed = bad.any(axis=0)
-    todo = cols[1][failed]
-    if todo.size:
-        # one scaled step at the first inexact step, then native again
-        cols = (slice(None), todo)
-        q, m, h, E = _take(q, cols), _take(m, cols), h[cols], E[todo]
-        first = bad[:, failed].argmax(axis=0)
+    todo = np.flatnonzero(_suspect(h, m, work))
+    cols = (slice(None), todo)
+    q, m, h, qn, E = _take(q, cols), _take(m, cols), h[cols], qn[cols], E[todo]
+    while True:
+        bad = _inexact(h, qn, q, m)
+        failed = np.flatnonzero(bad.any(axis=0))
+        if not failed.size:
+            return _scaled(r_end, E_end)
+        # the rerun starts at the earliest of the first inexact steps
+        first = bad.argmax(axis=0)[failed]
+        lo = first.min()
+        cols = (slice(lo, None), failed)
+        todo, q, m, h, E = todo[failed], _take(q, cols), _take(m, cols), h[cols], E[failed]
+        k, first = k - lo, first - lo
         at = (first, np.arange(todo.size))
         r, E = vec_add(_take(q, at), vec_mul(_take(m, at), _scaled(h[at], E)))
-        h, qn = _native_pass(r, E, q, m, after=first)
+        # a held Q is 0 * 2**E, so natively 0 * 2**0; with exponent 0 it
+        # would be 0 * 2**-E, NaN once 2**-E overflows
+        held = np.arange(k)[:, None] <= first
+        np.copyto(q.mantissa, 0.0, where=held)
+        np.copyto(q.exponent, E, where=held)
+        np.copyto(m.mantissa, 1.0, where=held)
+        np.copyto(m.exponent, 0, where=held)
+        h, qn = _native_pass(r, E, q, m)
         r_end[todo], E_end[todo] = h[-1], E
-
-        # scaled steps from the next inexact step, if any, to the end
-        bad = _inexact(h, qn, q, m) & (np.arange(k)[:, None] > first)
-        rest = np.flatnonzero(bad.any(axis=0))
-        if rest.size:
-            cols = (slice(None), rest)
-            q, m, first = _take(q, cols), _take(m, cols), bad[cols].argmax(axis=0)
-            R = _scaled(h[first, rest], E[rest])
-            for j in range(int(first.min()), k):
-                step = vec_add(_take(q, j), vec_mul(_take(m, j), R))
-                R = ScaledVector(*(np.where(j >= first, a, b) for a, b in zip(step, R)))
-            r_end[todo[rest]], E_end[todo[rest]] = R
-    return _scaled(r_end, E_end)
 
 
 def _run_block(
@@ -428,7 +418,7 @@ def run_batch(
         )
         if track_w:
             w_logs[n] = np.concatenate([ws[n] for _, ws in results])
-    return BatchResult(cps, count, master_seed, vectors, w_logs)
+    return BatchResult(vectors, w_logs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +446,6 @@ class ExactDistribution:
     @property
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.values.tolist(), self.probs.tolist()))
-
-    def cdf(self, x):
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))

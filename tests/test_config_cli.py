@@ -396,7 +396,7 @@ class TestOracleCommand:
             f"1,{row['deviation']!r},{row['mc_mean']!r},{row['mc_variance']!r},3000"
         )
 
-    def test_bundled_seed_115_passes(self, tmp_path):
+    def test_seed_46_passes(self, tmp_path):
         # the worst of 10 checkpoints at delta = 0.01 overshoots 0.01 / 10 less
         # often than 1%. Seed 46 is the first from 0 upward whose deviation
         # leaves the per-checkpoint 1% band at some checkpoint (at n = 6);

@@ -36,7 +36,14 @@ from perpsim.models import (
     analytic_moments,
     classify,
 )
-from perpsim.scaled import vec_add, vec_from_real, vec_log_abs, vec_mul, vec_to_real
+from perpsim.scaled import (
+    ScaledVector,
+    vec_add,
+    vec_from_real,
+    vec_log_abs,
+    vec_mul,
+    vec_to_real,
+)
 from perpsim.simulate import (
     BLOCK,
     RENORM,
@@ -382,6 +389,31 @@ class TestRunBatch:
         assert np.array_equal(va.mantissa, vb.mantissa)
         assert np.array_equal(va.exponent, vb.exponent)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)),
+            SignedUnit(0.75, QConstant(1.0)),
+            DiscreteJoint((((1.0, 2.0**80), 0.5), ((3.0, -(2.0**-80)), 0.5))),
+        ],
+        ids=["iii_evt", "case4", "m_2_pm80"],
+    )
+    def test_output_ignores_block_size(self, model, monkeypatch):
+        # a trajectory's stream, steps and fallback do not depend on the
+        # other trajectories of its block, so neither does a byte of output
+        cps, count, seed = [1, 31, 33, 257, 700], 4500, 61
+        runs = []
+        for size in (517, 1000, 2048, 4096):
+            monkeypatch.setattr(simulate, "BLOCK", size)
+            batch = run_batch(model, cps, count, seed, track_w=model.positive)
+            out = []
+            for n in cps:
+                out += [batch.vectors(n).mantissa.tobytes(), batch.vectors(n).exponent.tobytes()]
+                if model.positive:
+                    out.append(batch.w_log(n).tobytes())
+            runs.append(out)
+        assert all(run == runs[0] for run in runs[1:])
+
     def test_r2_law(self):
         batch = run_batch(FAIR_SIGN, [2], 100_000, master_seed=2024)
         values = batch.to_reals(2)
@@ -454,6 +486,52 @@ class TestRunBatch:
         assert vec_to_real(values).tolist() == batch.to_reals(3).tolist()
 
 
+class TestAdvance:
+    """One sub-block of the kernel against the scaled recursion."""
+
+    def test_matches_scaled_steps(self, monkeypatch):
+        k, B = RENORM, 5
+        rng = np.random.default_rng(7)
+        # |Q| in [1, 2) and |M| in [1/2, 2), both signs: native steps exact
+        q, m = (rng.uniform(1.0, 2.0, (k, B)) * rng.choice([-1.0, 1.0], (k, B)) for _ in "qm")
+        q = ScaledVector(q, np.zeros((k, B), np.int64))
+        m = ScaledVector(m, rng.integers(-1, 1, (k, B)))
+        r, E = rng.uniform(1.0, 2.0, B), np.zeros(B, np.int64)
+        # column 0: Q = 2**1500 at steps 3 and 20, each past double range
+        # against R. M = 0 at step 19 makes R_19 = Q_19, a Q lost against
+        # the scale of 2**1500, so the scale restarts at steps 3, 19 and 20
+        q.exponent[[3, 20], 0] = 1500
+        m.mantissa[19, 0], m.exponent[19, 0] = 0.0, 0
+        # column 1: M = 2**80 at every step, beyond the native range of M
+        m.exponent[:, 1] = 80
+        # column 2: R = 2**-3000 at the start, Q near 2**-2990 and M = 2**80
+        # at steps 0 and 10, so each restart lands far below 2**-1023
+        E[2], q.exponent[:, 2], m.exponent[[0, 10], 2] = -3000, -2990, 80
+        # columns 3 and 4 never flag
+        h, qn = simulate._native_pass(r, E, q, m)
+        flagged = simulate._inexact(h, qn, q, m).any(axis=0)
+        assert flagged.tolist() == [True, True, True, False, False]
+
+        want = ScaledVector(r, E)
+        for j in range(k):
+            want = vec_add(ScaledVector(q.mantissa[j], q.exponent[j]),
+                           vec_mul(ScaledVector(m.mantissa[j], m.exponent[j]), want))
+        drawn = [a.copy() for a in (*q, *m)]
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            assert len(calls) <= k, "the scaled fallback did not end within k rounds"
+            return vec_add(*a)
+
+        monkeypatch.setattr(simulate, "vec_add", counted)
+        got = simulate._advance(r, E, q, m, simulate._Work(B))
+        assert np.array_equal(got.mantissa, want.mantissa)
+        assert np.array_equal(got.exponent, want.exponent)
+        # the draws stay as they were: W is taken from them after the step
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, (*q, *m)))
+
+
 class TestEnumerateExact:
     def test_fair_sign_r2(self):
         law = enumerate_exact(FAIR_SIGN, 2)
@@ -497,13 +575,6 @@ class TestEnumerateExact:
         for (gv, gp), (wv, wp) in zip(got, want):
             assert gv == pytest.approx(wv, abs=1e-12)
             assert gp == pytest.approx(wp, abs=1e-12)
-
-    def test_cdf(self):
-        law = enumerate_exact(FAIR_SIGN, 2)
-        assert law.cdf(-0.5) == 0.0
-        assert law.cdf(0.0) == 0.5
-        assert law.cdf(1.99) == 0.5
-        assert law.cdf(2.0) == 1.0
 
 
 class TestExactMomentsRecursion:

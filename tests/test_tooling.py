@@ -30,12 +30,6 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_star_import():
-    namespace: dict = {}
-    exec("from perpsim import *", namespace)
-    assert "run_batch" in namespace and "normalize_samples" in namespace
-
-
 def load_module(path: Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
