@@ -17,7 +17,9 @@ misclassification. The starting point is always R_0 = 0.
 Every family draws one (q, m) pair from exactly two uniforms (first
 feeds Q, second feeds M; jointly-atomic families use the first and
 discard the second). Fixed consumption is what makes trajectory streams
-reproducible and chunkable.
+reproducible and chunkable. ``scaled_draws`` returns the pairs of a slab
+of steps as ``Draws``, which also carries, for a positive law, the logs
+the draws were made from.
 """
 
 from __future__ import annotations
@@ -80,6 +82,34 @@ def _sign_draws(u: np.ndarray, p: float, value: float) -> ScaledVector:
     return ScaledVector(mantissa, np.broadcast_to(e[0], mantissa.shape))
 
 
+class Draws(tuple):
+    """The (q, m) ScaledVectors of a slab of steps, unpacked as a pair.
+
+    ``logs`` is (ln Q, ln M) as the family computed them on the way, the
+    logs from which it built q and m; None for a law that can draw
+    Q <= 0 or M <= 0. The engine builds W's max term from them.
+    """
+
+    def __new__(cls, q: ScaledVector, m: ScaledVector, logs=None):
+        draws = super().__new__(cls, (q, m))
+        draws.logs = logs
+        return draws
+
+
+class _LogLaw:
+    """Q = e^Y for a law of Y: draws made from the logs Y."""
+
+    positive = True
+
+    def draws(self, u: np.ndarray) -> ScaledVector:
+        return vec_from_log(self.logs(u))
+
+    def log_draws(self, u: np.ndarray):
+        """The draws and their logs Y."""
+        y = self.logs(u)
+        return vec_from_log(y), y
+
+
 # ---------------------------------------------------------------------------
 # Q marginals
 # ---------------------------------------------------------------------------
@@ -99,6 +129,11 @@ class QConstant:
         # one decomposition, broadcast read-only to the shape of u
         one = vec_from_real(np.array([self.value]))
         return ScaledVector(*(np.broadcast_to(a, u.shape) for a in one))
+
+    def log_draws(self, u: np.ndarray):
+        """The draws and ln Q, broadcast; None for a constant <= 0."""
+        logs = np.broadcast_to(math.log(self.value), u.shape) if self.positive else None
+        return self.draws(u), logs
 
     def moments(self) -> tuple[float, float]:
         return self.value, self.value * self.value
@@ -127,7 +162,7 @@ class QRademacher:
 
 
 @dataclass(frozen=True)
-class QLogNormal:
+class QLogNormal(_LogLaw):
     """Q = e^Y with Y ~ Normal(mean, var)."""
 
     mean: float
@@ -139,9 +174,8 @@ class QLogNormal:
         if not math.isfinite(self.mean):
             raise InvalidModelError("lognormal Q mean must be finite")
 
-    def draws(self, u: np.ndarray) -> ScaledVector:
-        y = self.mean + math.sqrt(self.var) * ndtri(u)
-        return vec_from_log(y)
+    def logs(self, u: np.ndarray) -> np.ndarray:
+        return self.mean + math.sqrt(self.var) * ndtri(u)
 
     def moments(self) -> tuple[float, float]:
         return (
@@ -149,11 +183,9 @@ class QLogNormal:
             math.exp(2.0 * self.mean + 2.0 * self.var),
         )
 
-    positive = True
-
 
 @dataclass(frozen=True)
-class QLogPareto:
+class QLogPareto(_LogLaw):
     """Q = e^Y with Pareto tail P(Y > t) = (t/t0)**alpha for t >= t0.
 
     For alpha in (-2, 0), EY^2 is infinite and the running-maximum term
@@ -175,10 +207,9 @@ class QLogPareto:
         if not (self.t0 > 0.0) or not math.isfinite(self.t0):
             raise InvalidModelError("Pareto scale t0 must be positive")
 
-    def draws(self, u: np.ndarray) -> ScaledVector:
+    def logs(self, u: np.ndarray) -> np.ndarray:
         # inverse tail: P(Y > t) = (t/t0)^alpha  =>  Y = t0 * u^(1/alpha)
-        y = self.t0 * u ** (1.0 / self.alpha)
-        return vec_from_log(y)
+        return self.t0 * u ** (1.0 / self.alpha)
 
     def moments(self) -> tuple[float, float]:
         return math.inf, math.inf
@@ -189,11 +220,9 @@ class QLogPareto:
     def tail_quantile(self, n: int) -> float:
         return self.t0 * n ** (-1.0 / self.alpha)
 
-    positive = True
-
 
 @dataclass(frozen=True)
-class QLogBoundary:
+class QLogBoundary(_LogLaw):
     """Q = e^Y with tail t**-2 * ell(t) at the alpha = -2 boundary.
 
     ell is declared, not estimated: "growing" means ell(t) = ln t (the
@@ -242,18 +271,16 @@ class QLogBoundary:
             hi = np.where(above, hi, mid)
         return 0.5 * (lo + hi)
 
-    def draws(self, u: np.ndarray) -> ScaledVector:
+    def logs(self, u: np.ndarray) -> np.ndarray:
         h0 = float(self.tail(self.t0))
         y = np.full(u.shape, self.t0)
         interior = u < h0
         if np.any(interior):
             y[interior] = self._invert_tail(u[interior])
-        return vec_from_log(y)
+        return y
 
     def moments(self) -> tuple[float, float]:
         return math.inf, math.inf
-
-    positive = True
 
 
 QLaw = Union[QConstant, QRademacher, QLogNormal, QLogPareto, QLogBoundary]
@@ -295,7 +322,8 @@ class DiscreteJoint:
         qs, ms, cum = self._tables()
         idx = np.searchsorted(cum, u_q, side="right")
         idx = np.minimum(idx, len(self.atoms) - 1)
-        return vec_from_real(qs[idx]), vec_from_real(ms[idx])
+        logs = (np.log(qs)[idx], np.log(ms)[idx]) if self.positive else None
+        return Draws(vec_from_real(qs[idx]), vec_from_real(ms[idx]), logs)
 
     @property
     def positive(self) -> bool:
@@ -320,7 +348,7 @@ class ScaledRademacher:
             )
 
     def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        return self.q_law.draws(u_q), _sign_draws(u_m, self.p, self.rho)
+        return Draws(self.q_law.draws(u_q), _sign_draws(u_m, self.p, self.rho))
 
     positive = False
 
@@ -345,7 +373,8 @@ class LogNormalPair:
 
     def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
         x = self.mu_x + math.sqrt(self.v2) * ndtri(u_m)
-        return self.q_law.draws(u_q), vec_from_log(x)
+        q, y = self.q_law.log_draws(u_q)
+        return Draws(q, vec_from_log(x), None if y is None else (y, x))
 
     @property
     def positive(self) -> bool:
@@ -365,7 +394,7 @@ class SignedUnit:
             raise InvalidModelError("SignedUnit requires a finite-variance Q")
 
     def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        return self.q_law.draws(u_q), _sign_draws(u_m, self.p_m, 1.0)
+        return Draws(self.q_law.draws(u_q), _sign_draws(u_m, self.p_m, 1.0))
 
     positive = False
 

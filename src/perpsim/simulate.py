@@ -15,12 +15,12 @@ becomes the uniform ``min((w >> 11) * 2**-53 + 2**-54, 1 - 2**-53)``:
 Only the top value of w >> 11 meets the clamp; its tie would round to
 1.0. A block keeps one ``Philox``: for each step pair of a sub-block it
 sets the counter to (lo, p), lo the block's first trajectory, and one
-``random_raw`` call yields that pair for every trajectory of the block,
-right before the pair is stepped. A trajectory's stream depends on
-neither N nor its block, and every step, screen and fallback acts on
-each trajectory alone. So output is bit-identical for any split into
-blocks (``BLOCK`` trajectories each) and any ``workers`` setting;
-results are gathered in trajectory order.
+``random_raw`` call yields that pair for every trajectory of the block.
+A sub-block's words become uniforms in one pass, right before it is
+stepped. A trajectory's stream depends on neither N nor its block, and
+every step, screen and fallback acts on each trajectory alone. So output
+is bit-identical for any split into blocks (``BLOCK`` trajectories each)
+and any ``workers`` setting; results are gathered in trajectory order.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
@@ -35,9 +35,11 @@ sub-block natively from there, until no inexact step is left. So every
 snapshot is bit-identical to the scaled recursion
 ``R = vec_add(q, vec_mul(m, R))`` run one step at a time. With
 ``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j, a Case III
-diagnostic, in native floats. The tests replay single trajectories from
-their own streams in exact rational and mpmath arithmetic and compare
-them with ``run_batch``.
+diagnostic, in native floats. W is built from the logs ln Q and ln M
+from which the family made its draws (``Draws.logs``: Y and X for
+Q = e^Y and M = e^X), not from the ScaledVectors. The tests replay
+single trajectories from their own streams in exact rational and mpmath
+arithmetic and compare them with ``run_batch``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .scaled import (
     ScaledVector,
     vec_add,
     vec_from_real,
-    vec_log_abs,
     vec_mul,
     vec_to_real,
 )
@@ -268,9 +269,13 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
     inexact step, it takes the first one in scaled arithmetic and reruns
     natively from the result, every step through that one held as
     R = 1 * R + 0: a lone huge Q from a log-tailed law resets the scale this
-    way. A held step is exact in doubles, so the first inexact step moves
-    forward and the loop ends within k rounds; a law whose every step is
-    inexact (|M| = 2**80) takes all k, each over the steps left.
+    way. A step with |M| beyond 2**+-60 is inexact whatever the state, so
+    after its first inexact step a round goes on in scaled arithmetic while
+    the next step of every trajectory in it is such a step, and holds these
+    steps too: a law whose every step is inexact (|M| = 2**80) takes one
+    round. Each scaled step moves every trajectory of its round forward,
+    and a held step is exact in doubles, so the loop takes at most k scaled
+    steps.
     """
     k = q.mantissa.shape[0]
     h, qn = _native_pass(r, E, q, m, work=work)
@@ -290,10 +295,19 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
         todo, q, m, h, E = todo[failed], _take(q, cols), _take(m, cols), h[cols], E[failed]
         k, first = k - lo, first - lo
         at = (first, np.arange(todo.size))
-        r, E = vec_add(_take(q, at), vec_mul(_take(m, at), _scaled(h[at], E)))
+        R = _scaled(h[at], E)
+        # the first inexact step, then each next one while every trajectory
+        # of the round has |M| out of native range there
+        while True:
+            R = vec_add(_take(q, at), vec_mul(_take(m, at), R))
+            first = first + 1
+            at = (first, at[1])
+            if first.max() == k or (np.abs(m.exponent[at]) <= _M_EXPONENT_LIMIT).any():
+                break
+        r, E = R
         # a held Q is 0 * 2**E, so natively 0 * 2**0; with exponent 0 it
         # would be 0 * 2**-E, NaN once 2**-E overflows
-        held = np.arange(k)[:, None] <= first
+        held = np.arange(k)[:, None] < first
         np.copyto(q.mantissa, 0.0, where=held)
         np.copyto(q.exponent, E, where=held)
         np.copyto(m.mantissa, 1.0, where=held)
@@ -331,9 +345,9 @@ def _run_block(
     n_max = cps[-1]
     snaps: dict[int, ScaledVector] = {}
     w_snaps: dict[int, np.ndarray] = {}
-    # the uniforms of Q, then of M, by step: a sub-block's pairs, one more
+    # the raw words of Q, then of M, by step: a sub-block's pairs, one more
     # row when it starts inside a pair
-    u = np.empty((2, RENORM + 2, B))
+    raw = np.empty((2, RENORM + 2, B), np.uint64)
     work = _Work(B)
 
     t = 0
@@ -343,32 +357,38 @@ def _run_block(
         # sub-blocks of at most RENORM steps, each ending at a checkpoint,
         # drawn from their own rows: arrays shaped (k, B)
         k = min(RENORM, cp - t)
-        p0 = t // 2
-        for p in range(p0, (t + k + 1) // 2):
+        p0, p1 = t // 2, (t + k + 1) // 2
+        for p in range(p0, p1):
             ctr[1] = p
             bits.state = state
             words = bits.random_raw(4 * B).reshape(B, 2, 2)
-            u[:, 2 * (p - p0) : 2 * (p - p0 + 1)] = _uniforms(words).transpose(2, 1, 0)
+            raw[:, 2 * (p - p0) : 2 * (p - p0 + 1)] = words.transpose(2, 1, 0)
+        u = _uniforms(raw[:, : 2 * (p1 - p0)])
         j0 = t % 2  # after an odd checkpoint, the second step of pair p0
         try:
-            qv, mv = model.scaled_draws(u[0, j0 : j0 + k], u[1, j0 : j0 + k])
+            draws = model.scaled_draws(u[0, j0 : j0 + k], u[1, j0 : j0 + k])
         except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
             j, i = exc.index
             raise ExponentOverflowError(
                 f"trajectory {lo + i}: draw {exc} at n={t + j + 1}"
             ) from None
-        R = _advance(r, E, qv, mv, work)
-        r, E = R
+        qv, mv = draws
         if track_w:
-            # ln prod_{j<k} M_j summed one row at a time, as W's roundings need
-            ml = vec_log_abs(mv)
+            # W from the logs the draws were made from, with ln prod_{j<k} M_j
+            # summed one row at a time, as W's roundings need. It borrows the
+            # step's buffer h, and the logs are freed before the step runs
+            ln_q, ln_m = draws.logs
             lp = work.h[: k + 1]
             lp[0] = logprod
             for j in range(k):
-                np.add(lp[j], ml[j], out=lp[j + 1])
+                np.add(lp[j], ln_m[j], out=lp[j + 1])
             logprod = lp[-1].copy()
-            lp[:-1] += vec_log_abs(qv)
+            lp[:-1] += ln_q
             np.maximum(w, lp[:-1].max(axis=0), out=w)
+            del ln_q, ln_m
+        del draws
+        R = _advance(r, E, qv, mv, work)
+        r, E = R
         t += k
         if t == cp:
             bad = np.abs(E) > EXPONENT_LIMIT

@@ -64,17 +64,25 @@ CASE_III_CLT = LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # sha256 of run_batch at N = 64 for each bundled config, with its seed, its
-# checkpoints and the track_w of verify: per checkpoint the mantissa float64
-# bytes, the exponent int64 bytes, then w_log where tracked. A change to the
-# streams, the draw transforms or the arithmetic of the recursion shows here.
+# checkpoints and the track_w of verify: the snapshots (per checkpoint the
+# mantissa float64 bytes, then the exponent int64 bytes), and apart from them
+# w_log where tracked. A change to the streams, the draw transforms or the
+# arithmetic of the recursion shows in the first; one to how W is summed, in
+# the second alone.
 ENGINE_DIGESTS = {
-    "case1_asym": "fe9c62f5d6445e6ce853af4d3e567f4141c07aa4d6a9ff134a396f300e9e3402",
-    "case1_sym": "ed348cfb2c8489f3f8b1c5ba6f039a37e2bcb884510446149454bc8195df88af",
-    "case2_abs": "60adc2a9fb1a7729db7c4192c65ead86a5e328b40da74a0b62d693d57606ed78",
-    "case3_clt": "6ef62b85ea8d4a8b0b7d324a59be663633a13c120e6d0c15a1378995f80c5d84",
-    "case3_evt": "8d6f43c1d295b186fd0baad3b32a37af78d6cc7e04024666d69fb8b94f36ef15",
-    "case4": "d0177b0bc869c506408a52989b39228f08068994bd3d0f55894540e2e5a1c688",
-    "oracle_fair_sign": "f1bf1d5047c2d8d22d8f7931778a39bd2035a2f1bf49f21d65e5e37f6560d306",
+    "case1_asym": ("fe9c62f5d6445e6ce853af4d3e567f4141c07aa4d6a9ff134a396f300e9e3402", None),
+    "case1_sym": ("ed348cfb2c8489f3f8b1c5ba6f039a37e2bcb884510446149454bc8195df88af", None),
+    "case2_abs": ("60adc2a9fb1a7729db7c4192c65ead86a5e328b40da74a0b62d693d57606ed78", None),
+    "case3_clt": (
+        "ef49826ee1617047227b13dd8db9db55035cdc6d0b7e178cf2c5d1c57646e649",
+        "6c30fe73a5629853d08271970d7e52d766a10bd40d30082a5b95a09cd64706a3",
+    ),
+    "case3_evt": (
+        "02a16ac20eccf85c6326c7f03b785c2124ec5e5af378b04bc8255c40bfaafec4",
+        "10ef1e8c3e034a4786950f16838bdf84c40f5d91847a094e54c9c93d50fa4c88",
+    ),
+    "case4": ("d0177b0bc869c506408a52989b39228f08068994bd3d0f55894540e2e5a1c688", None),
+    "oracle_fair_sign": ("f1bf1d5047c2d8d22d8f7931778a39bd2035a2f1bf49f21d65e5e37f6560d306", None),
 }
 
 
@@ -372,15 +380,16 @@ class TestRunBatch:
         cfg = load_config(CONFIGS / f"{name}.json")
         track_w = classify(analytic_moments(cfg.model), cfg.model).case.startswith("III")
         batch = run_batch(cfg.model, cfg.checkpoints, 64, cfg.seed, track_w=track_w)
-        digest = hashlib.sha256()
+        snapshots, w_logs = hashlib.sha256(), hashlib.sha256()
         for n in cfg.checkpoints:
             v = batch.vectors(n)
             assert (v.mantissa.dtype, v.exponent.dtype) == (np.float64, np.int64)
-            digest.update(v.mantissa.tobytes())
-            digest.update(v.exponent.tobytes())
+            snapshots.update(v.mantissa.tobytes())
+            snapshots.update(v.exponent.tobytes())
             if track_w:
-                digest.update(batch.w_log(n).tobytes())
-        assert digest.hexdigest() == ENGINE_DIGESTS[name]
+                w_logs.update(batch.w_log(n).tobytes())
+        got = (snapshots.hexdigest(), w_logs.hexdigest() if track_w else None)
+        assert got == ENGINE_DIGESTS[name]
 
     def test_worker_count_invariance(self):
         a = run_batch(CASE_II, [40], 4500, master_seed=13, workers=1)
@@ -453,6 +462,24 @@ class TestRunBatch:
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
             y = q_law.mean + math.sqrt(q_law.var) * ndtri(u[:, 0])
+            x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
+            log_prod = [math.fsum(x[:k]) for k in range(cps[-1])]
+            for n in cps:
+                want = max(y[k] + log_prod[k] for k in range(n))
+                assert abs(batch.w_log(n)[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_w_log_replay_iii_evt(self):
+        # III-evt: Y = t0 * u**(1/alpha) from the Q-slot uniform, X = ndtri(u)
+        # from the M-slot one, and W_n = max_k (Y_k + sum_{j<k} X_j) with each
+        # prefix sum correctly rounded by fsum; checkpoints inside a step pair
+        # and on both sides of the 32-step sub-blocks
+        model = LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0))
+        q_law = model.q_law
+        cps, count, seed = [1, 2, 31, 32, 33, 64, 65, 97, 144], 16, 95
+        batch = run_batch(model, cps, count, seed, track_w=True)
+        for i in range(count):
+            u = trajectory_uniforms(seed, i, cps[-1])
+            y = q_law.t0 * u[:, 0] ** (1.0 / q_law.alpha)
             x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
             log_prod = [math.fsum(x[:k]) for k in range(cps[-1])]
             for n in cps:

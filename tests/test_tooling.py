@@ -13,7 +13,8 @@ import perpsim
 import perpsim.simulate
 from perpsim.cli import main, verification_rows
 from perpsim.config import load_config
-from perpsim.models import analytic_moments, classify
+from perpsim.models import LogNormalPair, QLogPareto, analytic_moments, classify
+from perpsim.simulate import run_batch
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -127,3 +128,21 @@ def test_benchmark_write_spans_cover_every_sample_csv(tmp_path):
     write = tracing.NAME_ID["cli.write"]
     sizes = [a for i, a in zip(tracer.name, tracer.amount) if i == write]
     assert sorted(sizes) == sorted(p.stat().st_size for p in out.iterdir())
+
+
+def test_w_tracking_draws_once_per_sub_block(tmp_path):
+    # W is built from the logs that scaled_draws returns with the draws, so
+    # the benchmark's models.draws layer, which wraps scaled_draws, holds all
+    # of the draw work of a III run: one call per sub-block of each block
+    tracing = load_module(REPO / "perfbench" / "tracing.py")
+    tracer = tracing.Tracer(tmp_path)
+    saved = tracing.install(tracer)
+    try:
+        # per block, steps 1 | 2-31 | 32-33 | 34-65, 66-97, 98-100
+        run_batch(LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)), [1, 31, 33, 100],
+                  perpsim.simulate.BLOCK + 5, 17, track_w=True)
+    finally:
+        tracing.uninstall(saved)
+    names = [tracing.SPAN_NAMES[i] for i in tracer.name]
+    assert names.count("simulate.block") == 2
+    assert names.count("models.draws") == 2 * 6
