@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidInputError, UnavailableError, UnsupportedError
 from .models import DiscreteJoint, PairModel, QConstant, RegimeReport, ScaledRademacher
@@ -298,6 +297,13 @@ def sample_limit(
     return float(out[0]) if size is None else out
 
 
+def _ndtr(x):
+    """scipy's normal CDF, imported only by the laws whose CDF uses it."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 def cdf(law: LimitLaw, x):
     """Closed-form CDF; raises UnavailableError when none exists."""
     if not has_cdf(law):
@@ -314,21 +320,21 @@ def cdf(law: LimitLaw, x):
     elif isinstance(law, LogNormalPositive):
         out = np.zeros_like(arr)
         pos = arr > 0
-        out[pos] = ndtr(np.log(arr[pos]))
+        out[pos] = _ndtr(np.log(arr[pos]))
     elif isinstance(law, LogNormalSymmetric):
         out = np.full_like(arr, 0.5)
         nz = arr != 0
-        out[nz] = 0.5 + np.sign(arr[nz]) * 0.5 * ndtr(np.log(np.abs(arr[nz])))
+        out[nz] = 0.5 + np.sign(arr[nz]) * 0.5 * _ndtr(np.log(np.abs(arr[nz])))
     elif isinstance(law, ExpHalfNormal):
         out = np.zeros_like(arr)
         m = arr >= 1.0
-        out[m] = 2.0 * ndtr(np.log(arr[m])) - 1.0
+        out[m] = 2.0 * _ndtr(np.log(arr[m])) - 1.0
     elif isinstance(law, ExpFrechet):
         out = np.zeros_like(arr)
         m = arr > 1.0
         out[m] = np.exp(-(np.log(arr[m]) ** law.alpha))
     elif isinstance(law, Gaussian):
-        out = ndtr(arr / math.sqrt(law.beta2))
+        out = _ndtr(arr / math.sqrt(law.beta2))
     else:
         raise InvalidInputError(f"unknown law {law!r}")
     return float(out[0]) if scalar else out

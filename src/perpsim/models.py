@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DomainError,
@@ -62,6 +61,15 @@ __all__ = [
 
 _ATOL = 1e-12  # tolerance for exact-moment comparisons (mu == 0, E|M| == 1)
 _SQRT_E = math.sqrt(math.e)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """scipy's normal quantile. Only the lognormal families draw with it,
+    and they import scipy.special when built, not with this module: so a
+    Case I run never loads it, and pool workers forked later inherit it."""
+    from scipy.special import ndtri
+
+    return ndtri(u)
 
 
 def _validate_prob(p: float, name: str) -> None:
@@ -173,9 +181,10 @@ class QLogNormal(_LogLaw):
             raise InvalidModelError("lognormal Q needs var > 0")
         if not math.isfinite(self.mean):
             raise InvalidModelError("lognormal Q mean must be finite")
+        import scipy.special  # noqa: F401  (see _ndtri)
 
     def logs(self, u: np.ndarray) -> np.ndarray:
-        return self.mean + math.sqrt(self.var) * ndtri(u)
+        return self.mean + math.sqrt(self.var) * _ndtri(u)
 
     def moments(self) -> tuple[float, float]:
         return (
@@ -370,9 +379,10 @@ class LogNormalPair:
             raise InvalidModelError(
                 "LogNormalPair takes a positive or constant Q family"
             )
+        import scipy.special  # noqa: F401  (see _ndtri)
 
     def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        x = self.mu_x + math.sqrt(self.v2) * ndtri(u_m)
+        x = self.mu_x + math.sqrt(self.v2) * _ndtri(u_m)
         q, y = self.q_law.log_draws(u_q)
         return Draws(q, vec_from_log(x), None if y is None else (y, x))
 

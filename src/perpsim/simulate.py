@@ -45,7 +45,7 @@ arithmetic and compare them with ``run_batch``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,6 +405,21 @@ def _run_block(
     return snaps, (w_snaps if track_w else None)
 
 
+def _run_blocks(args: list) -> list:
+    """``_run_block`` on each argument tuple, in order. It is looked up as a
+    module name at each call, so a wrapper put in its place (the
+    benchmark's tracer) runs once per block, in a pool worker too."""
+    return [_run_block(*a) for a in args]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_batch(
     model: PairModel,
     checkpoints,
@@ -422,12 +437,20 @@ def run_batch(
 
     blocks = [(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
     args = [(model, cps, lo, hi, master_seed, track_w) for lo, hi in blocks]
-    if workers <= 1 or len(blocks) == 1:
-        results = [_run_block(*a) for a in args]
+    # the executor starts all its processes at once, so start no more than
+    # can run: one per CPU, and one per block at most
+    procs = min(workers, len(args), _cpu_count())
+    if procs <= 1:
+        results = _run_blocks(args)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, *a) for a in args]
-            results = [f.result() for f in futures]
+        # imported here: multiprocessing is a cost only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        # each process runs one contiguous range of blocks, in order
+        ends = [len(args) * i // procs for i in range(procs + 1)]
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            futures = [pool.submit(_run_blocks, args[a:b]) for a, b in zip(ends, ends[1:])]
+            results = [res for f in futures for res in f.result()]
 
     vectors: dict[int, ScaledVector] = {}
     w_logs: dict[int, np.ndarray] | None = {} if track_w else None

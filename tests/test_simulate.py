@@ -1,5 +1,6 @@
 """Engine: exact replays of single trajectories, the W_n diagnostic, oracles."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -397,6 +398,52 @@ class TestRunBatch:
         va, vb = a.vectors(40), b.vectors(40)
         assert np.array_equal(va.mantissa, vb.mantissa)
         assert np.array_equal(va.exponent, vb.exponent)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, procs", [(9, 64, 5), (3, 64, 3), (8, 2, 2), (1, 64, None)]
+    )
+    def test_pool_is_bounded(self, workers, cpus, procs, monkeypatch):
+        # the executor forks all max_workers processes at its first submit,
+        # so run_batch asks for min(workers, blocks, CPUs) and gives each one
+        # contiguous range of blocks; a stand-in runs the ranges inline.
+        # workers stays small: code that bypassed the stand-in would fork them
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers, self.ranges = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                self.ranges.append([a[2] for a in args])
+                future = concurrent.futures.Future()
+                future.set_result(fn(args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "BLOCK", 100)
+        model = ScaledRademacher(2.0, 0.5, QRademacher(0.5))
+        serial = run_batch(model, [1, 40], 450, master_seed=5)
+        batch = run_batch(model, [1, 40], 450, master_seed=5, workers=workers)
+        for n in (1, 40):
+            assert batch.vectors(n).mantissa.tobytes() == serial.vectors(n).mantissa.tobytes()
+            assert batch.vectors(n).exponent.tobytes() == serial.vectors(n).exponent.tobytes()
+        if procs is None:
+            assert pools == []
+            return
+        [pool] = pools
+        assert pool.max_workers == procs
+        los = [lo for r in pool.ranges for lo in r]
+        assert los == [0, 100, 200, 300, 400]
+        assert len(pool.ranges) == procs
+        assert max(map(len, pool.ranges)) - min(map(len, pool.ranges)) <= 1
 
     @pytest.mark.parametrize(
         "model",

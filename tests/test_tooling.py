@@ -4,7 +4,10 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,60 @@ def test_w_tracking_draws_once_per_sub_block(tmp_path):
     names = [tracing.SPAN_NAMES[i] for i in tracer.name]
     assert names.count("simulate.block") == 2
     assert names.count("models.draws") == 2 * 6
+
+
+# Runs in a fresh interpreter from the repository root, with an output
+# directory as its argument; prints the findings as one JSON line.
+IMPORTS_SCRIPT = r"""
+import concurrent.futures, json, sys
+from perpsim import simulate
+from perpsim.cli import main
+from perpsim.config import load_config
+
+loaded = lambda name: name in sys.modules
+out = sys.argv[1]
+cfg = json.load(open("configs/case1_sym.json"))
+cfg["samples"] = 2000
+case1 = out + "/case1_sym.json"
+json.dump(cfg, open(case1, "w"))
+codes = [main([cmd, "--config", path, "--out", f"{out}/{cmd}", "--quiet"])
+         for cmd, path in [("classify", case1), ("verify", case1), ("sample", case1),
+                           ("oracle", "configs/oracle_fair_sign.json")]]
+case1_modules = [loaded("scipy"), loaded("concurrent.futures.process")]
+
+lognormal = load_config("configs/case2_abs.json").model
+after_load = loaded("scipy.special")
+
+class InlinePool:
+    def __init__(self, max_workers):
+        pools.append((max_workers, loaded("scipy.special")))
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(args))
+        return future
+
+pools = []
+concurrent.futures.ProcessPoolExecutor = InlinePool
+simulate._cpu_count = lambda: 2
+simulate.run_batch(lognormal, [3], simulate.BLOCK + 1, 7, workers=2)
+print(json.dumps([codes, case1_modules, after_load, pools]))
+"""
+
+
+def test_case_i_runs_import_no_scipy_and_no_pool(tmp_path):
+    # scipy.special and multiprocessing are half of a fresh run's start-up;
+    # Case I needs neither. A lognormal family imports scipy when it is
+    # built, so forked pool workers inherit it and never import it themselves
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, str(tmp_path)], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    codes, case1_modules, after_load, pools = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert case1_modules == [False, False]
+    assert after_load
+    assert pools == [[2, True]]
