@@ -100,17 +100,25 @@ def _json_rows(rows: list[dict]) -> list[dict]:
     ]
 
 
+_CSV_ROWS = 4096  # rows formatted and written at a time
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """A CSV of equal-length columns, formatted a column at a time: a
-    float64 array in one pass of ``repr``, any other cell by ``_fmt``."""
-    cells = [
-        map(repr, col.tolist())
-        if isinstance(col, np.ndarray) and col.dtype == np.float64
-        else map(_fmt, col)
-        for col in columns
-    ]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
+    float64 array in one pass of ``repr``, any other cell by ``_fmt``.
+    Rows go out ``_CSV_ROWS`` at a time, so only one chunk's strings are
+    held at once."""
+    rows = len(columns[0])
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for a in range(0, rows, _CSV_ROWS):
+            cells = [
+                map(repr, col[a : a + _CSV_ROWS].tolist())
+                if isinstance(col, np.ndarray) and col.dtype == np.float64
+                else map(_fmt, col[a : a + _CSV_ROWS])
+                for col in columns
+            ]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _emit_manifest(out: Path, command: str, cfg: RunConfig) -> None:

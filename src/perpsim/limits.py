@@ -226,19 +226,49 @@ def default_series_terms(lam: float, target: float = _SERIES_TARGET) -> int:
     return m
 
 
-def _bc_from_signs(lam: float, signs: np.ndarray) -> np.ndarray:
-    """Series value for explicit sign rows; shared-stream truncation tests."""
-    m = signs.shape[-1]
-    weights = lam ** np.arange(m)
-    return signs @ weights
-
-
 def _atom_indices(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Index of the atom each uniform picks, in the smallest integer dtype."""
     idx = np.zeros(u.shape, np.min_scalar_type(len(probs)))
     for c in np.cumsum(probs)[:-1]:
         idx += u >= c
     return idx
+
+
+_CHUNK_CELLS = 2**17  # uniforms per chunk of a series sampler: 1 MiB of float64
+_FAIR = np.array([0.5, 0.5])
+_SIGNS = np.array([1.0, -1.0])  # atom 0 is u < 1/2
+
+
+def _series_rows(rng, size: int, width: int, lam: float, probs, q, s=None) -> np.ndarray:
+    """``size`` values of a series with ``width`` terms, one per row of uniforms.
+
+    Row i of a (size, width) array of uniforms, drawn in row-major order,
+    picks atom a_ik of ``probs`` for term k = 0, 1, ...: q[a_ik] * lam**k,
+    times s[a_i1] * ... * s[a_ik] when ``s`` is given. The uniforms are
+    drawn a chunk of rows at a time, so memory beyond the output is
+    O(chunk). Each row's terms are added in the order k = 0, 1, ..., one
+    numpy add per term, so a value depends on neither the chunk size nor
+    the BLAS: the order of a matrix product's sums depends on its shape.
+    """
+    weights = (lam ** np.arange(width))[:, None]
+    out = np.empty(size)
+    rows = max(1, _CHUNK_CELLS // width)
+    for a in range(0, size, rows):
+        u = rng.random((min(rows, size - a), width))
+        idx = np.ascontiguousarray(_atom_indices(u, probs).T)  # a series per column
+        del u
+        terms = q[idx]
+        if s is not None:
+            signs = s[idx[1:]]
+            for j in range(1, width - 1):
+                signs[j] *= signs[j - 1]
+            terms[1:] *= signs
+        terms *= weights
+        acc = out[a : a + idx.shape[1]]
+        acc[:] = terms[0]
+        for row in terms[1:]:
+            acc += row
+    return out
 
 
 def _frechet_exp(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -255,31 +285,25 @@ def sample_limit(
 ):
     """Draw from the limit law; scalar when size is None.
 
-    series_terms applies to the series laws only and defaults to the
-    1e-9 truncation target.
+    series_terms applies to the series laws only; None means the 1e-9
+    truncation target.
     """
     k = 1 if size is None else int(size)
     if k < 1:
         raise InvalidInputError("size must be >= 1")
 
+    if isinstance(law, (BernoulliConvolution, SymmetrizedPerpetuity)):
+        m = default_series_terms(law.lam) if series_terms is None else series_terms
+        if m < 1:
+            raise InvalidInputError("series_terms must be >= 1")
     if isinstance(law, BernoulliConvolution):
-        m = series_terms or default_series_terms(law.lam)
-        if m < 1:
-            raise InvalidInputError("series_terms must be >= 1")
-        signs = np.where(rng.random((k, m)) < 0.5, 1.0, -1.0)
-        out = law.scale * _bc_from_signs(law.lam, signs)
+        out = _series_rows(rng, k, m, law.lam, _FAIR, _SIGNS)
+        out *= law.scale
     elif isinstance(law, SymmetrizedPerpetuity):
-        m = series_terms or default_series_terms(law.lam)
-        if m < 1:
-            raise InvalidInputError("series_terms must be >= 1")
         pairs = law.pairs or ((1.0, 1.0, law.p), (1.0, -1.0, 1.0 - law.p))
         q, s, w = (np.array(col) for col in zip(*pairs))
-        idx = _atom_indices(rng.random((k, m + 1)), w)
-        terms = q[idx]  # Q_k; times prod_{2<=j<=k} eps_j from k = 2 on
-        prods = s[idx[:, 1:]]
-        terms[:, 1:] *= np.cumprod(prods, axis=1, out=prods)
-        r = np.where(rng.random(k) < 0.5, 1.0, -1.0)
-        out = r * (terms @ (law.lam ** np.arange(m + 1)))
+        out = _series_rows(rng, k, m + 1, law.lam, w, q, s)
+        out *= np.where(rng.random(k) < 0.5, 1.0, -1.0)  # the sign r
     elif isinstance(law, LogNormalPositive):
         out = np.exp(rng.standard_normal(k))
     elif isinstance(law, LogNormalSymmetric):

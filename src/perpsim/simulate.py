@@ -177,12 +177,23 @@ def _require_positive_for_w(model: PairModel) -> None:
 
 
 class _Work:
-    """Buffers of one sub-block's arithmetic."""
+    """Buffers of one sub-block's arithmetic for B trajectories: C-contiguous
+    views of the front of ``cells`` (``3 * RENORM + 1`` doubles per
+    trajectory), or fresh arrays when it is None."""
 
-    def __init__(self, B: int) -> None:
-        self.h = np.empty((RENORM + 1, B))  # states r, from the start state
-        self.q = np.empty((RENORM, B))  # Q * 2**-E
-        self.m = np.empty((RENORM, B))  # M, then scratch
+    def __init__(self, B: int, cells: np.ndarray | None = None) -> None:
+        if cells is None:
+            cells = np.empty((3 * RENORM + 1) * B)
+        rows = cells[: (3 * RENORM + 1) * B].reshape(3 * RENORM + 1, B)
+        self.h = rows[: RENORM + 1]  # states r, from the start state
+        self.q = rows[RENORM + 1 : 2 * RENORM + 1]  # Q * 2**-E
+        self.m = rows[2 * RENORM + 1 :]  # M, then scratch
+
+
+# 8-byte words of a block's buffers per trajectory: the raw words of a
+# sub-block, then its _Work
+_RAW_WORDS = 2 * (RENORM + 2)
+_BLOCK_WORDS = _RAW_WORDS + 3 * RENORM + 1
 
 
 def _native(v: ScaledVector, shift, out: np.ndarray) -> np.ndarray:
@@ -323,9 +334,16 @@ def _run_block(
     hi: int,
     master_seed: int,
     track_w: bool,
+    cells: np.ndarray | None = None,
 ):
-    """Vectorized kernel for trajectories [lo, hi); returns snapshots."""
+    """Vectorized kernel for trajectories [lo, hi); returns snapshots.
+
+    Its buffers are views of the front of ``cells``, a uint64 array of at
+    least ``_BLOCK_WORDS * (hi - lo)`` words; fresh when it is None.
+    """
     B = hi - lo
+    if cells is None:
+        cells = np.empty(_BLOCK_WORDS * B, np.uint64)
     # one Philox; from counter (lo, p) it yields step pair p of each trajectory
     bits = Philox()
     ctr = [lo, 0, 0, 0]
@@ -347,8 +365,8 @@ def _run_block(
     w_snaps: dict[int, np.ndarray] = {}
     # the raw words of Q, then of M, by step: a sub-block's pairs, one more
     # row when it starts inside a pair
-    raw = np.empty((2, RENORM + 2, B), np.uint64)
-    work = _Work(B)
+    raw = cells[: _RAW_WORDS * B].reshape(2, RENORM + 2, B)
+    work = _Work(B, cells[_RAW_WORDS * B : _BLOCK_WORDS * B].view(np.float64))
 
     t = 0
     next_cp = iter(cps)
@@ -406,10 +424,18 @@ def _run_block(
 
 
 def _run_blocks(args: list) -> list:
-    """``_run_block`` on each argument tuple, in order. It is looked up as a
+    """``_run_block`` on each argument tuple, in order, all with one set of
+    buffers made for the largest block.
+
+    Fresh buffers per block (2.7 MB at ``BLOCK``) would be mmapped and
+    faulted in page by page for every block, unless an earlier free of a
+    larger array had raised glibc's dynamic mmap threshold: a cost that
+    would depend on what ran before. ``_run_block`` is looked up as a
     module name at each call, so a wrapper put in its place (the
-    benchmark's tracer) runs once per block, in a pool worker too."""
-    return [_run_block(*a) for a in args]
+    benchmark's tracer) runs once per block, in a pool worker too.
+    """
+    cells = np.empty(_BLOCK_WORDS * max(hi - lo for _, _, lo, hi, _, _ in args), np.uint64)
+    return [_run_block(*a, cells) for a in args]
 
 
 def _cpu_count() -> int:

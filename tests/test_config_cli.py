@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from perpsim import cli
@@ -478,6 +479,33 @@ class TestSampleCommand:
             lines = (out / f"samples_n{n}.csv").read_text().splitlines()
             assert lines[0] == "value"
             assert len(lines) == 501
+
+
+def one_shot_csv(header, columns) -> str:
+    """A CSV built whole, every cell formatted as ``_write_csv`` promises:
+    a float64 array by ``repr``, any other cell by ``cli._fmt``."""
+    cells = [
+        [repr(x) for x in col.tolist()] if getattr(col, "dtype", None) == np.float64
+        else [cli._fmt(x) for x in col]
+        for col in columns
+    ]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [1, cli._CSV_ROWS - 1, cli._CSV_ROWS, cli._CSV_ROWS + 1])
+    def test_chunked_rows_equal_one_shot(self, tmp_path, rows):
+        # rows go out a chunk at a time; the file must not show where
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values[::7] = np.nan
+        counts = [int(k) for k in rng.integers(0, 10**6, rows)]
+        gammas = [None if k % 3 else float(k) / 7 for k in counts]
+        header = ["n", "value", "gamma"]
+        columns = [counts, values, gammas]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, columns)
+        assert path.read_text() == one_shot_csv(header, columns)
 
 
 class TestBundledConfigs:

@@ -1,6 +1,9 @@
 """Limit laws: mapping, CDF values, sampler consistency, truncation bounds."""
 
+import hashlib
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +38,21 @@ def regime_for(model):
 
 def law_for(model):
     return lim.limit_for(regime_for(model), model)
+
+
+class RowFeed:
+    """Stands in for a Generator in the series samplers: ``random((r, w))``
+    returns the next r rows of the first w columns of ``u``, so that series
+    of different lengths read one stream."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+        self.at = 0
+
+    def random(self, shape):
+        rows, width = shape
+        self.at += rows
+        return self.u[self.at - rows : self.at, :width]
 
 
 def case_one_second_moment(lam, p, mean_q, mean_q2):
@@ -201,12 +219,11 @@ class TestTruncationBound:
             assert lim.bc_truncation_bound(lam, m - 1) >= 1e-9
 
     def test_shared_stream_truncation(self):
-        g = rng(3)
+        u = rng(3).random((5000, 45))
         lam = 0.6
         m = 25
-        signs = np.where(g.random((5000, m + 20)) < 0.5, 1.0, -1.0)
-        short = lim._bc_from_signs(lam, signs[:, :m])
-        long = lim._bc_from_signs(lam, signs)
+        short = lim._series_rows(RowFeed(u), 5000, m, lam, lim._FAIR, lim._SIGNS)
+        long = lim._series_rows(RowFeed(u), 5000, 45, lam, lim._FAIR, lim._SIGNS)
         assert np.abs(short - long).max() <= lim.bc_truncation_bound(lam, m)
 
 
@@ -287,3 +304,131 @@ class TestSamplers:
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidInputError):
             lim.sample_limit(lim.Gaussian(1.0), rng(8), size=0)
+
+
+def series_width(law) -> int:
+    """Uniforms per value: one per term, and the BC has no Q_1 column."""
+    m = lim.default_series_terms(law.lam)
+    return m if isinstance(law, lim.BernoulliConvolution) else m + 1
+
+
+LAWS_AT_HALF = {
+    "sp": lim.SymmetrizedPerpetuity(0.5, 0.7),
+    "sp_q3": lim.SymmetrizedPerpetuity(0.5, 0.7, ((3.0, -1.0, 0.3), (3.0, 1.0, 0.7))),
+    "bc": lim.BernoulliConvolution(0.5),
+}
+DEPENDENT_PAIRS = ((-1.0, -1.0, 0.25), (1.0, -1.0, 0.25), (1.0, 1.0, 0.5))
+NON_DYADIC = [
+    lim.SymmetrizedPerpetuity(1.0 / 3.0, 0.5, DEPENDENT_PAIRS),
+    lim.BernoulliConvolution(0.4),
+]
+
+# sha256 prefixes of sample_limit(law, rng(1400 + size), size=size) as the
+# unchunked sampler made them, with one matrix product per sample. At
+# lam = 1/2 every partial sum is exact, so any order of the sums gives these
+# bytes. The sizes are 1, c - 1, c, c + 1 and 2c + 7 for the c rows of a
+# chunk at the default _CHUNK_CELLS: 4096 rows of 32 uniforms, and 4228 of
+# 31 for the BC.
+PINNED_AT_HALF = [
+    ("sp", 1, "1b814f2fff959cde"),
+    ("sp", 4095, "6fdb95f9b684760a"),
+    ("sp", 4096, "ec36af013ad1777f"),
+    ("sp", 4097, "b3257737f21974c8"),
+    ("sp", 8199, "947ac7940317f22e"),
+    ("sp_q3", 1, "cf3c4f6d1800390b"),
+    ("sp_q3", 4095, "331e58666cd63425"),
+    ("sp_q3", 4096, "d9eee6f70df8fbfe"),
+    ("sp_q3", 4097, "0f996ca177f200b8"),
+    ("sp_q3", 8199, "2d46f83f7f448bbe"),
+    ("bc", 1, "e6c5a01228fb4ae4"),
+    ("bc", 4227, "eb38afadfc52ed74"),
+    ("bc", 4228, "adde8e142daed2bb"),
+    ("bc", 4229, "497baf4fbe75ec3b"),
+    ("bc", 8463, "98e6c3ff660c110c"),
+]
+
+
+class TestSeriesSamplers:
+    """The series laws' samplers, drawn a chunk of rows at a time."""
+
+    def test_pinned_sizes_straddle_chunks(self):
+        assert [lim._CHUNK_CELLS // series_width(LAWS_AT_HALF[k]) for k in ("sp", "bc")] == [
+            4096,
+            4228,
+        ]
+
+    @pytest.mark.parametrize("name,size,digest", PINNED_AT_HALF)
+    def test_exact_at_half_matches_unchunked_sampler(self, name, size, digest):
+        out = lim.sample_limit(LAWS_AT_HALF[name], rng(1400 + size), size=size)
+        assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("law", NON_DYADIC, ids=["sp_pairs_third", "bc_0.4"])
+    def test_output_ignores_chunk_size(self, law, monkeypatch):
+        # each row's terms are summed in one fixed order, so no value may
+        # depend on how the rows are grouped; a matrix product's sums do
+        width = series_width(law)
+        runs = [lim.sample_limit(law, rng(21), size=600).tobytes()]
+        for rows in (1, 7):
+            monkeypatch.setattr(lim, "_CHUNK_CELLS", rows * width)
+            runs.append(lim.sample_limit(law, rng(21), size=600).tobytes())
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("law", NON_DYADIC, ids=["sp_pairs_third", "bc_0.4"])
+    def test_rows_match_ordered_and_exact_sums(self, law):
+        # 20 values rebuilt from the same uniforms by the law's definition.
+        # Added as doubles in the order k = 0, 1, ..., they must give the
+        # sampler's bits. Summed in exact rationals, they bound its error:
+        # at most 1 ulp from each power lam**k, half an ulp from each product
+        # and from each of the width - 1 additions, so within
+        # (width + 3) * 2**-53 * sum |term|.
+        size, width = 20, series_width(law)
+        weights = law.lam ** np.arange(width)
+        g = rng(33)
+        u = g.random((size, width))
+        r = np.where(g.random(size) < 0.5, 1, -1)
+        got = lim.sample_limit(law, rng(33), size=size)
+        lam = Fraction(law.lam)
+        if isinstance(law, lim.BernoulliConvolution):
+            atoms = ((law.scale, 1.0, 0.5), (-law.scale, 1.0, 0.5))
+        else:
+            atoms = law.pairs
+        for i in range(size):
+            sign, signed, exact = 1, [], []
+            for k in range(width):
+                cum = Fraction(0)
+                for q, s, p in atoms:
+                    cum += Fraction(p)
+                    if Fraction(float(u[i, k])) < cum:
+                        break
+                if k and isinstance(law, lim.SymmetrizedPerpetuity):
+                    sign *= int(s)
+                signed.append(q * sign)
+                exact.append(Fraction(q) * sign * lam**k)
+            r_i = int(r[i]) if isinstance(law, lim.SymmetrizedPerpetuity) else 1
+            ordered = 0.0
+            for t, w in zip(signed, weights.tolist()):
+                ordered += t * w
+            assert got[i] == r_i * ordered
+            bound = (width + 3) * Fraction(2) ** -53 * sum(map(abs, exact))
+            assert abs(Fraction(float(got[i])) - r_i * sum(exact)) <= bound
+
+    def test_memory_is_output_plus_chunk(self):
+        # the (size, m + 1) matrices of the unchunked sampler peaked at 111 MB
+        # here; the output and the sign r take 3.2 MB, a chunk about 3 MB
+        tracemalloc.start()
+        try:
+            lim.sample_limit(lim.SymmetrizedPerpetuity(0.5, 0.7), rng(13), size=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("law", [LAWS_AT_HALF["bc"], LAWS_AT_HALF["sp"]], ids=["bc", "sp"])
+    def test_series_terms_default_only_for_none(self, law):
+        m = lim.default_series_terms(law.lam)
+        default = lim.sample_limit(law, rng(14), size=50)
+        assert default.tolist() == lim.sample_limit(law, rng(14), series_terms=None, size=50).tolist()
+        assert default.tolist() == lim.sample_limit(law, rng(14), series_terms=m, size=50).tolist()
+        for bad in (0, -1):
+            with pytest.raises(InvalidInputError, match="series_terms"):
+                lim.sample_limit(law, rng(14), series_terms=bad, size=50)

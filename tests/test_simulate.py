@@ -470,6 +470,24 @@ class TestRunBatch:
             runs.append(out)
         assert all(run == runs[0] for run in runs[1:])
 
+    @pytest.mark.parametrize("model", [CASE_I_ASYM, CASE_III_CLT], ids=["i_asym", "iii_clt"])
+    def test_blocks_sharing_buffers_match_lone_blocks(self, model):
+        # _run_blocks gives every block views of one set of buffers, made for
+        # its largest block: a block after a longer one, or before one, must
+        # read none of the other's words
+        cps, seed = (1, 31, 33, 70), 29
+        args = [
+            (model, cps, lo, hi, seed, model.positive)
+            for lo, hi in ((0, 300), (300, 1000), (1000, 1037))
+        ]
+        for (snaps, w), a in zip(simulate._run_blocks(args), args):
+            lone, lone_w = simulate._run_block(*a)
+            for n in cps:
+                assert snaps[n].mantissa.tobytes() == lone[n].mantissa.tobytes()
+                assert snaps[n].exponent.tobytes() == lone[n].exponent.tobytes()
+                if model.positive:
+                    assert w[n].tobytes() == lone_w[n].tobytes()
+
     def test_r2_law(self):
         batch = run_batch(FAIR_SIGN, [2], 100_000, master_seed=2024)
         values = batch.to_reals(2)
