@@ -88,14 +88,16 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
+def _finite(x):
+    """A number for report.json: null where it is not finite."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _json_rows(rows: list[dict]) -> list[dict]:
     """Checkpoint rows for report.json. The mean and variance of samples
     with an infinite value (III-evt has some) are not finite: null."""
     return [
-        {
-            key: None if key in ("mean", "variance") and not math.isfinite(v) else v
-            for key, v in row.items()
-        }
+        {key: _finite(v) if key in ("mean", "variance") else v for key, v in row.items()}
         for row in rows
     ]
 
@@ -126,7 +128,9 @@ def _emit_manifest(out: Path, command: str, cfg: RunConfig) -> None:
 
 
 def _regime_dict(regime: RegimeReport, moments) -> dict:
-    return {
+    """The regime for report.json, a number that is not finite as null (a
+    law with an M = 0 atom has mu = -inf and v2 = inf)."""
+    regime_fields = {
         "case": regime.case,
         "normalization": regime.normalization,
         "limit": regime.limit,
@@ -140,6 +144,7 @@ def _regime_dict(regime: RegimeReport, moments) -> dict:
         "alpha": regime.alpha,
         "note": regime.note,
     }
+    return {key: _finite(v) for key, v in regime_fields.items()}
 
 
 def default_threshold(regime: RegimeReport, law, n_samples: int) -> float:
@@ -258,7 +263,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     _write_csv(out / "checkpoints.csv", header, [[r[k] for r in rows] for k in header])
     report = {
         "command": "verify",
-        "regime": _regime_dict(regime, analytic_moments(cfg.model)),
+        "regime": _regime_dict(regime, moments),
         "limit": lim.label(law),
         "series_terms": series,
         "threshold": threshold,

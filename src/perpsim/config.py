@@ -19,6 +19,10 @@ Schema (JSON object)::
       "monotone_slack": float      default max(0.01, DKW radius at N, delta 0.01)
     }
 
+A family's keys are the fields of its dataclass in ``perpsim.models``,
+with ``q`` for ``q_law``; all are numbers but ``atoms``, ``ell`` and ``q``.
+An atom of probability 0 is dropped, from the manifest's echo too.
+
 Models::
 
     {"family": "discrete_joint", "atoms": [[q, m, prob], ...]}
@@ -37,6 +41,7 @@ Q laws::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -100,86 +105,73 @@ def _integer(obj, where: str) -> int:
     return obj
 
 
-def _parse_qlaw(obj, where: str) -> QLaw:
+_Q_FAMILIES = {
+    "constant": QConstant,
+    "rademacher": QRademacher,
+    "lognormal": QLogNormal,
+    "log_pareto": QLogPareto,
+    "log_boundary": QLogBoundary,
+}
+_PAIR_FAMILIES = {
+    "discrete_joint": DiscreteJoint,
+    "scaled_rademacher": ScaledRademacher,
+    "lognormal_pair": LogNormalPair,
+    "signed_unit": SignedUnit,
+}
+_FAMILY_NAMES = {cls: name for name, cls in {**_Q_FAMILIES, **_PAIR_FAMILIES}.items()}
+
+
+def _key(field: str) -> str:
+    """A dataclass field's JSON key: its own name, but "q" for q_law."""
+    return "q" if field == "q_law" else field
+
+
+def _atoms(obj, where: str) -> tuple:
+    if not isinstance(obj, list) or not obj:
+        raise ConfigError(f"{where} must be a nonempty list")
+    parsed = []
+    for i, atom in enumerate(obj):
+        if not isinstance(atom, list) or len(atom) != 3:
+            raise ConfigError(f"{where}[{i}] must be [q, m, probability]")
+        q, m, p = (_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(atom))
+        parsed.append(((q, m), p))
+    return tuple(parsed)
+
+
+def _ell(obj, where: str) -> str:
+    if not isinstance(obj, str):
+        raise ConfigError(f"{where} must be a string")
+    return obj
+
+
+_FIELD_PARSERS = {
+    "atoms": _atoms,
+    "ell": _ell,
+    "q_law": lambda obj, where: _parse_family(obj, _Q_FAMILIES, where),
+}
+
+
+def _parse_family(obj, families: dict, where: str):
+    """A model or Q law from its family's table entry: one JSON key per
+    dataclass field, in field order, each parsed as a number unless the
+    field has its own parser."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     family = obj.get("family")
+    cls = families.get(family) if isinstance(family, str) else None
+    if cls is None:
+        kind = "Q" if families is _Q_FAMILIES else "model"
+        raise ConfigError(f"unknown {kind} family {family!r} in {where}")
+    fields = [f.name for f in dataclasses.fields(cls)]
+    _require_keys(obj, where, {"family", *map(_key, fields)}, set())
+    args = {}
+    for f in fields:
+        key = _key(f)
+        args[f] = _FIELD_PARSERS.get(f, _number)(obj[key], f"{where}.{key}")
     try:
-        if family == "constant":
-            _require_keys(obj, where, {"family", "value"}, set())
-            return QConstant(_number(obj["value"], f"{where}.value"))
-        if family == "rademacher":
-            _require_keys(obj, where, {"family", "p"}, set())
-            return QRademacher(_number(obj["p"], f"{where}.p"))
-        if family == "lognormal":
-            _require_keys(obj, where, {"family", "mean", "var"}, set())
-            return QLogNormal(
-                _number(obj["mean"], f"{where}.mean"),
-                _number(obj["var"], f"{where}.var"),
-            )
-        if family == "log_pareto":
-            _require_keys(obj, where, {"family", "alpha", "t0"}, set())
-            return QLogPareto(
-                _number(obj["alpha"], f"{where}.alpha"),
-                _number(obj["t0"], f"{where}.t0"),
-            )
-        if family == "log_boundary":
-            _require_keys(obj, where, {"family", "ell", "t0"}, set())
-            ell = obj["ell"]
-            if not isinstance(ell, str):
-                raise ConfigError(f"{where}.ell must be a string")
-            return QLogBoundary(ell, _number(obj["t0"], f"{where}.t0"))
+        return cls(**args)
     except InvalidModelError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
-    raise ConfigError(f"unknown Q family {family!r} in {where}")
-
-
-def _parse_model(obj, where: str = "model") -> PairModel:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    family = obj.get("family")
-    try:
-        if family == "discrete_joint":
-            _require_keys(obj, where, {"family", "atoms"}, set())
-            atoms = obj["atoms"]
-            if not isinstance(atoms, list) or not atoms:
-                raise ConfigError(f"{where}.atoms must be a nonempty list")
-            parsed = []
-            for i, atom in enumerate(atoms):
-                if not isinstance(atom, list) or len(atom) != 3:
-                    raise ConfigError(
-                        f"{where}.atoms[{i}] must be [q, m, probability]"
-                    )
-                q, m, p = (
-                    _number(atom[0], f"{where}.atoms[{i}][0]"),
-                    _number(atom[1], f"{where}.atoms[{i}][1]"),
-                    _number(atom[2], f"{where}.atoms[{i}][2]"),
-                )
-                parsed.append(((q, m), p))
-            return DiscreteJoint(tuple(parsed))
-        if family == "scaled_rademacher":
-            _require_keys(obj, where, {"family", "rho", "p", "q"}, set())
-            return ScaledRademacher(
-                _number(obj["rho"], f"{where}.rho"),
-                _number(obj["p"], f"{where}.p"),
-                _parse_qlaw(obj["q"], f"{where}.q"),
-            )
-        if family == "lognormal_pair":
-            _require_keys(obj, where, {"family", "mu_x", "v2", "q"}, set())
-            return LogNormalPair(
-                _number(obj["mu_x"], f"{where}.mu_x"),
-                _number(obj["v2"], f"{where}.v2"),
-                _parse_qlaw(obj["q"], f"{where}.q"),
-            )
-        if family == "signed_unit":
-            _require_keys(obj, where, {"family", "p_m", "q"}, set())
-            return SignedUnit(
-                _number(obj["p_m"], f"{where}.p_m"),
-                _parse_qlaw(obj["q"], f"{where}.q"),
-            )
-    except InvalidModelError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-    raise ConfigError(f"unknown model family {family!r} in {where}")
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -192,7 +184,7 @@ def parse_config(obj: dict) -> RunConfig:
         {"model", "checkpoints", "samples", "seed"},
         {"workers", "series_terms", "ks_threshold", "monotone_slack"},
     )
-    model = _parse_model(obj["model"])
+    model = _parse_family(obj["model"], _PAIR_FAMILIES, "model")
     raw_cps = obj["checkpoints"]
     if not isinstance(raw_cps, list) or not raw_cps:
         raise ConfigError("checkpoints must be a nonempty list of integers")
@@ -249,47 +241,19 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(obj)
 
 
-def _qlaw_to_dict(q: QLaw) -> dict:
-    if isinstance(q, QConstant):
-        return {"family": "constant", "value": q.value}
-    if isinstance(q, QRademacher):
-        return {"family": "rademacher", "p": q.p}
-    if isinstance(q, QLogNormal):
-        return {"family": "lognormal", "mean": q.mean, "var": q.var}
-    if isinstance(q, QLogPareto):
-        return {"family": "log_pareto", "alpha": q.alpha, "t0": q.t0}
-    if isinstance(q, QLogBoundary):
-        return {"family": "log_boundary", "ell": q.ell, "t0": q.t0}
-    raise ConfigError(f"unknown Q law {q!r}")
-
-
-def model_to_dict(model: PairModel) -> dict:
-    if isinstance(model, DiscreteJoint):
-        return {
-            "family": "discrete_joint",
-            "atoms": [[q, m, p] for (q, m), p in model.atoms],
-        }
-    if isinstance(model, ScaledRademacher):
-        return {
-            "family": "scaled_rademacher",
-            "rho": model.rho,
-            "p": model.p,
-            "q": _qlaw_to_dict(model.q_law),
-        }
-    if isinstance(model, LogNormalPair):
-        return {
-            "family": "lognormal_pair",
-            "mu_x": model.mu_x,
-            "v2": model.v2,
-            "q": _qlaw_to_dict(model.q_law),
-        }
-    if isinstance(model, SignedUnit):
-        return {
-            "family": "signed_unit",
-            "p_m": model.p_m,
-            "q": _qlaw_to_dict(model.q_law),
-        }
-    raise ConfigError(f"unknown model {model!r}")
+def model_to_dict(model: PairModel | QLaw) -> dict:
+    """The JSON object of a model or Q law: the parse, walked in reverse."""
+    if type(model) not in _FAMILY_NAMES:
+        raise ConfigError(f"unknown model {model!r}")
+    out = {"family": _FAMILY_NAMES[type(model)]}
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        if f.name == "atoms":
+            value = [[q, m, p] for (q, m), p in value]
+        elif f.name == "q_law":
+            value = model_to_dict(value)
+        out[_key(f.name)] = value
+    return out
 
 
 def resolved_dict(cfg: RunConfig) -> dict:

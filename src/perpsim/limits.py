@@ -165,9 +165,8 @@ def _sign_pairs(model: PairModel) -> tuple[tuple[float, float, float], ...]:
     if isinstance(model, DiscreteJoint):
         joint: dict[tuple[float, float], float] = {}
         for (q, m), w in model.atoms:
-            if w > 0.0:
-                key = (q, math.copysign(1.0, m))
-                joint[key] = joint.get(key, 0.0) + w
+            key = (q, math.copysign(1.0, m))
+            joint[key] = joint.get(key, 0.0) + w
         return tuple(sorted((q, s, w) for (q, s), w in joint.items()))
     raise UnsupportedError(f"{type(model).__name__} has no Case I limit law")
 

@@ -25,7 +25,7 @@ the draws were made from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -304,7 +304,11 @@ _FINITE_VAR_QLAWS = (QConstant, QRademacher, QLogNormal)
 
 @dataclass(frozen=True)
 class DiscreteJoint:
-    """Finite list of ((q, m), probability) atoms; dependence allowed."""
+    """Finite list of ((q, m), probability) atoms; dependence allowed.
+
+    Atoms of probability 0 are dropped at construction, so every reader
+    of ``atoms`` sees the law's support.
+    """
 
     atoms: tuple[tuple[tuple[float, float], float], ...]
 
@@ -317,7 +321,7 @@ class DiscreteJoint:
             raise InvalidModelError("atom probabilities must lie in [0, 1]")
         if abs(total - 1.0) > 1e-9:
             raise InvalidModelError(f"atom probabilities sum to {total}, not 1")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple(a for a in atoms if a[1] > 0.0))
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         qs = np.array([q for (q, _), _ in self.atoms])
@@ -451,43 +455,19 @@ def analytic_moments(model: PairModel) -> Moments:
             mean_q2=math.fsum(p * q * q for p, q in zip(probs, qs)),
             mean_qm=math.fsum(p * q * m for p, q, m in zip(probs, qs, ms)),
         )
+    # (mu, v2, E|M|, EM) of each parametric family; Q is independent of M
     if isinstance(model, ScaledRademacher):
-        mean_q, mean_q2 = model.q_law.moments()
-        mean_m = model.rho * (2.0 * model.p - 1.0)
-        return Moments(
-            mu=math.log(model.rho),
-            v2=0.0,
-            abs_mean_m=model.rho,
-            mean_m=mean_m,
-            mean_q=mean_q,
-            mean_q2=mean_q2,
-            mean_qm=mean_q * mean_m,
-        )
-    if isinstance(model, LogNormalPair):
-        mean_q, mean_q2 = model.q_law.moments()
+        m_moments = (math.log(model.rho), 0.0, model.rho, model.rho * (2.0 * model.p - 1.0))
+    elif isinstance(model, LogNormalPair):
         mean_m = math.exp(model.mu_x + 0.5 * model.v2)
-        return Moments(
-            mu=model.mu_x,
-            v2=model.v2,
-            abs_mean_m=mean_m,
-            mean_m=mean_m,
-            mean_q=mean_q,
-            mean_q2=mean_q2,
-            mean_qm=mean_q * mean_m,
-        )
-    if isinstance(model, SignedUnit):
-        mean_q, mean_q2 = model.q_law.moments()
-        mean_m = 2.0 * model.p_m - 1.0
-        return Moments(
-            mu=0.0,
-            v2=0.0,
-            abs_mean_m=1.0,
-            mean_m=mean_m,
-            mean_q=mean_q,
-            mean_q2=mean_q2,
-            mean_qm=mean_q * mean_m,
-        )
-    raise InvalidModelError(f"unknown model family {type(model).__name__}")
+        m_moments = (model.mu_x, model.v2, mean_m, mean_m)
+    elif isinstance(model, SignedUnit):
+        m_moments = (0.0, 0.0, 1.0, 2.0 * model.p_m - 1.0)
+    else:
+        raise InvalidModelError(f"unknown model family {type(model).__name__}")
+    mu, v2, abs_mean_m, mean_m = m_moments
+    mean_q, mean_q2 = model.q_law.moments()
+    return Moments(mu, v2, abs_mean_m, mean_m, mean_q, mean_q2, mean_q * mean_m)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +503,6 @@ _NORMALIZATIONS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:g}"
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Classification outcome plus the parameters the pipeline needs."""
@@ -544,26 +520,11 @@ class RegimeReport:
     note: str = ""
 
 
-def _limit_label(case: str, beta2=None, alpha=None) -> str:
-    if case == "II-abs":
-        return "LogNormalPositive"
-    if case == "II-signed":
-        return "LogNormalSymmetric"
-    if case in ("III-clt", "III-boundary-vanishing"):
-        return "ExpHalfNormal"
-    if case in ("III-evt", "III-boundary-growing"):
-        return f"ExpFrechet({_fmt(alpha)})"
-    if case == "IV":
-        return f"Gaussian({_fmt(beta2)})"
-    return "none"
-
-
 def _sign_mix(model: PairModel) -> tuple[bool, bool]:
     """(P(M > 0) > 0, P(M < 0) > 0)."""
     if isinstance(model, DiscreteJoint):
-        has_pos = any(m > 0 and p > 0 for (_, m), p in model.atoms)
-        has_neg = any(m < 0 and p > 0 for (_, m), p in model.atoms)
-        return has_pos, has_neg
+        ms = [m for (_, m), _ in model.atoms]
+        return any(m > 0 for m in ms), any(m < 0 for m in ms)
     if isinstance(model, (ScaledRademacher, SignedUnit)):
         return True, True
     if isinstance(model, LogNormalPair):
@@ -573,8 +534,7 @@ def _sign_mix(model: PairModel) -> tuple[bool, bool]:
 
 def _m_constant(model: PairModel) -> bool:
     if isinstance(model, DiscreteJoint):
-        ms = {m for (_, m), p in model.atoms if p > 0}
-        return len(ms) == 1
+        return len({m for (_, m), _ in model.atoms}) == 1
     return False  # other families force a non-degenerate M at construction
 
 
@@ -585,7 +545,7 @@ def _abs_m_constant(model: PairModel) -> float | None:
     if isinstance(model, SignedUnit):
         return 1.0
     if isinstance(model, DiscreteJoint):
-        mags = {abs(m) for (_, m), p in model.atoms if p > 0}
+        mags = {abs(m) for (_, m), _ in model.atoms}
         lo, hi = min(mags), max(mags)
         if hi - lo <= _ATOL * max(1.0, hi):
             return 0.5 * (lo + hi)
@@ -595,8 +555,19 @@ def _abs_m_constant(model: PairModel) -> float | None:
 
 def _q_positive(model: PairModel) -> bool:
     if isinstance(model, DiscreteJoint):
-        return all(q > 0 for (q, _), p in model.atoms if p > 0)
+        return all(q > 0 for (q, _), _ in model.atoms)
     return model.q_law.positive
+
+
+def _report(case: str, model: PairModel, mu: float, v: float, **params) -> RegimeReport:
+    """The report of ``case``: its normalization, and the label of the law
+    ``limits.limit_for`` gives it ("none" when there is none)."""
+    report = RegimeReport(case, _NORMALIZATIONS[case], "none", mu, v, **params)
+    if case in ("CONVERGENT", "UNSUPPORTED"):
+        return report
+    from .limits import label, limit_for  # limits imports this module
+
+    return replace(report, limit=label(limit_for(report, model)))
 
 
 def classify(moments: Moments, model: PairModel) -> RegimeReport:
@@ -610,12 +581,11 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
     v = math.sqrt(v2) if v2 > 0 else 0.0
 
     if mu < -_ATOL:
-        return RegimeReport(
-            case="CONVERGENT",
-            normalization="none",
-            limit="none",
-            mu=mu,
-            v=v,
+        return _report(
+            "CONVERGENT",
+            model,
+            mu,
+            v,
             note="E ln|M| < 0: R_n converges in law; no renormalization needed",
         )
 
@@ -627,30 +597,11 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
                 p = model.p
             else:
                 p = math.fsum(pr for (_, m), pr in model.atoms if m > 0)
-            lam = 1.0 / rho
             case = "I-sym" if abs(p - 0.5) <= _ATOL else "I-asym"
-            from .limits import case_one_law, label  # limits imports this module
-
-            return RegimeReport(
-                case=case,
-                normalization=_NORMALIZATIONS[case],
-                limit=label(case_one_law(case, lam, p, model)),
-                mu=mu,
-                v=0.0,
-                rho=rho,
-                lam=lam,
-                p=p,
-            )
+            return _report(case, model, mu, 0.0, rho=rho, lam=1.0 / rho, p=p)
         # Case II: |M| random
         has_pos, has_neg = _sign_mix(model)
-        case = "II-signed" if (has_pos and has_neg) else "II-abs"
-        return RegimeReport(
-            case=case,
-            normalization=_NORMALIZATIONS[case],
-            limit=_limit_label(case),
-            mu=mu,
-            v=v,
-        )
+        return _report("II-signed" if (has_pos and has_neg) else "II-abs", model, mu, v)
 
     # mu == 0 from here on
     if moments.abs_mean_m <= 1.0 + _ATOL:
@@ -659,78 +610,52 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
             raise InvalidModelError(
                 "E ln|M| = 0 with E|M| = 1 requires |M| = 1 a.s."
             )
-        b2 = beta_squared(moments)
-        return RegimeReport(
-            case="IV",
-            normalization=_NORMALIZATIONS["IV"],
-            limit=_limit_label("IV", beta2=b2),
-            mu=0.0,
-            v=0.0,
-            rho=1.0,
-            beta2=b2,
-        )
+        return _report("IV", model, 0.0, 0.0, rho=1.0, beta2=beta_squared(moments))
 
-    has_pos, has_neg = _sign_mix(model)
+    _, has_neg = _sign_mix(model)
     if has_neg:
-        return RegimeReport(
-            case="UNSUPPORTED",
-            normalization="none",
-            limit="none",
-            mu=0.0,
-            v=v,
+        return _report(
+            "UNSUPPORTED",
+            model,
+            0.0,
+            v,
             note=(
                 "E ln|M| = 0 with E|M| > 1 and sign-mixing M has no known "
                 "limit law; not supported"
             ),
         )
     if not _q_positive(model):
-        return RegimeReport(
-            case="UNSUPPORTED",
-            normalization="none",
-            limit="none",
-            mu=0.0,
-            v=v,
+        return _report(
+            "UNSUPPORTED",
+            model,
+            0.0,
+            v,
             note=(
                 "the E ln|M| = 0, E|M| > 1 normalizations require Q > 0 "
                 "(Q = e^Y); not supported for this Q"
             ),
         )
 
-    # Case III: positive (Q, M) = (e^Y, e^X) with EX = 0; sub-case by Y tail
-    if isinstance(model, LogNormalPair):
-        q_law = model.q_law
-    else:
-        q_law = None  # DiscreteJoint: bounded Y, so EY^2 < infinity
+    # Case III: positive (Q, M) = (e^Y, e^X) with EX = 0; sub-case by Y tail.
+    # A DiscreteJoint has bounded Y, so EY^2 < infinity.
+    q_law = model.q_law if isinstance(model, LogNormalPair) else None
     if isinstance(q_law, QLogPareto):
         if q_law.alpha == -2.0:
-            return RegimeReport(
-                case="UNSUPPORTED",
-                normalization="none",
-                limit="none",
-                mu=0.0,
-                v=v,
+            return _report(
+                "UNSUPPORTED",
+                model,
+                0.0,
+                v,
                 note=(
                     "tail index -2 with a constant slowly-varying factor "
                     "has no known limit; declare ell growing or vanishing "
                     "via the log_boundary family"
                 ),
             )
-        case = "III-evt"
-        alpha = q_law.alpha
-    elif isinstance(q_law, QLogBoundary):
-        case = f"III-boundary-{q_law.ell}"
-        alpha = -2.0
-    else:
-        case = "III-clt"
-        alpha = None
-    return RegimeReport(
-        case=case,
-        normalization=_NORMALIZATIONS[case],
-        limit=_limit_label(case, alpha=alpha),
-        mu=0.0,
-        v=v,
-        alpha=alpha,
-    )
+        return _report("III-evt", model, 0.0, v, alpha=q_law.alpha)
+    if isinstance(q_law, QLogBoundary):
+        return _report(f"III-boundary-{q_law.ell}", model, 0.0, v, alpha=-2.0)
+    return _report("III-clt", model, 0.0, v)
 
 
 # ---------------------------------------------------------------------------

@@ -555,8 +555,6 @@ def enumerate_exact(model: PairModel, n: int) -> ExactDistribution:
     qs = np.array([q for (q, _), _ in model.atoms])
     ms = np.array([m for (_, m), _ in model.atoms])
     ps = np.array([p for _, p in model.atoms])
-    keep = ps > 0.0
-    qs, ms, ps = qs[keep], ms[keep], ps[keep]
 
     vals = np.array([0.0])
     probs = np.array([1.0])
@@ -576,10 +574,7 @@ def exact_moments_recursion(model: PairModel, n: int) -> tuple[float, float]:
         raise InvalidInputError("n must be >= 1")
     mom = analytic_moments(model)
     if isinstance(model, DiscreteJoint):
-        unit = all(
-            abs(abs(m) - 1.0) <= 1e-12 for (_, m), p in model.atoms if p > 0
-        )
-        if not unit:
+        if not all(abs(abs(m) - 1.0) <= 1e-12 for (_, m), _ in model.atoms):
             raise DomainError("moment recursion requires |M| = 1 a.s.")
     elif not isinstance(model, SignedUnit):
         raise DomainError("moment recursion requires |M| = 1 a.s.")

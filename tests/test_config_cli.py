@@ -1,6 +1,8 @@
 """Config validation and CLI commands: exit codes, outputs, determinism."""
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,14 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+LOGNORMAL_PAIR = {
+    "family": "lognormal_pair",
+    "mu_x": 0.0,
+    "v2": 1.0,
+    "q": {"family": "constant", "value": 1.0},
+}
 
 
 class TestConfigParsing:
@@ -109,11 +119,89 @@ class TestConfigParsing:
         )
         assert isinstance(cfg.model, SignedUnit)
 
-    def test_resolved_dict_round_trips(self):
-        cfg = parse_config(base_config())
+    @pytest.mark.parametrize(
+        "model",
+        [
+            base_config()["model"],
+            {**base_config()["model"], "q": {"family": "constant", "value": 3.0}},
+            {**LOGNORMAL_PAIR, "q": {"family": "lognormal", "mean": 0.5, "var": 2.0}},
+            {**LOGNORMAL_PAIR, "q": {"family": "log_pareto", "alpha": -1.5, "t0": 1.0}},
+            {**LOGNORMAL_PAIR, "q": {"family": "log_boundary", "ell": "growing", "t0": 2.0}},
+            {"family": "signed_unit", "p_m": 0.75, "q": {"family": "rademacher", "p": 0.3}},
+            {"family": "discrete_joint", "atoms": [[1.0, 2.0, 0.25], [-1.0, 0.5, 0.75]]},
+        ],
+        ids=[
+            "scaled_rademacher-rademacher",
+            "scaled_rademacher-constant",
+            "lognormal_pair-lognormal",
+            "lognormal_pair-log_pareto",
+            "lognormal_pair-log_boundary",
+            "signed_unit",
+            "discrete_joint",
+        ],
+    )
+    def test_resolved_dict_round_trips(self, model):
+        cfg = parse_config(base_config(model=model))
         echoed = resolved_dict(cfg)
+        assert echoed["model"] == model
         assert parse_config(echoed) == cfg
         assert echoed["series_terms"] is None  # default made explicit
+
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            ({"family": "nope"}, "unknown model family 'nope' in model"),
+            ({**LOGNORMAL_PAIR, "q": {"family": "nope"}}, "unknown Q family 'nope' in model.q"),
+            (3, "model must be an object"),
+            ({**LOGNORMAL_PAIR, "q": [1]}, "model.q must be an object"),
+            (
+                {**LOGNORMAL_PAIR, "q": {"family": "log_boundary", "ell": 3, "t0": 2.0}},
+                "model.q.ell must be a string",
+            ),
+            (
+                {**LOGNORMAL_PAIR, "q": {"family": "log_boundary", "ell": "flat", "t0": 2.0}},
+                "invalid model.q: ell must be 'growing' or 'vanishing'",
+            ),
+            ({**LOGNORMAL_PAIR, "mu_x": "a"}, "model.mu_x must be a number, got 'a'"),
+            (
+                {k: v for k, v in LOGNORMAL_PAIR.items() if k != "mu_x"},
+                "missing required key(s) ['mu_x'] in model",
+            ),
+            ({"family": "discrete_joint", "atoms": []}, "model.atoms must be a nonempty list"),
+            (
+                {"family": "discrete_joint", "atoms": [[1.0, 2.0]]},
+                "model.atoms[0] must be [q, m, probability]",
+            ),
+            (
+                {"family": "discrete_joint", "atoms": [[1.0, 2.0, "x"]]},
+                "model.atoms[0][2] must be a number, got 'x'",
+            ),
+        ],
+        ids=[
+            "unknown_model_family",
+            "unknown_q_family",
+            "model_not_object",
+            "q_not_object",
+            "ell_not_string",
+            "ell_flat",
+            "mu_x_not_number",
+            "mu_x_missing",
+            "atoms_empty",
+            "atom_two_elements",
+            "atom_probability_not_number",
+        ],
+    )
+    def test_malformed_model_message(self, model, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(base_config(model=model))
+        assert str(exc.value) == message
+
+    def test_zero_probability_atom_left_out_of_echo(self):
+        model = {"family": "discrete_joint", "atoms": [[1, 2, 0.5], [1, -2, 0.5], [1, 0, 0]]}
+        cfg = parse_config(base_config(model=model))
+        echoed = resolved_dict(cfg)
+        assert echoed["model"]["atoms"] == [[1.0, 2.0, 0.5], [1.0, -2.0, 0.5]]
+        assert parse_config(echoed) == cfg
 
     @pytest.mark.parametrize("samples", [1, 2048, 20000, 26491, 26492, 10**6])
     def test_default_monotone_slack(self, samples):
@@ -192,6 +280,55 @@ class TestClassifyCommand:
             ["classify", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
         )
         assert code == 2
+
+
+def run_command(tmp_path, command, model, **overrides):
+    """Run ``command`` quietly on ``model``: (exit code, report or None)."""
+    path = write_config(tmp_path, base_config(model=model, **overrides), f"{command}.json")
+    out = tmp_path / command
+    code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+    report = out / "report.json"
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+class TestEdgeLaws:
+    def test_m_zero_atom_writes_null_moments(self, tmp_path):
+        # mu = -inf and v2 = inf: CONVERGENT, and report.json holds null
+        model = {"family": "discrete_joint", "atoms": [[1, 0, 0.5], [1, 2, 0.5]]}
+        code, report = run_command(tmp_path, "classify", model)
+        assert code == 0
+        assert report["regime"]["case"] == "CONVERGENT"
+        assert report["regime"]["mu"] is None and report["regime"]["v2"] is None
+        code, report = run_command(tmp_path, "verify", model)
+        assert code == 3
+        assert report["regime"]["case"] == "CONVERGENT"
+
+    def test_zero_probability_atom_reaches_a_verdict(self, tmp_path):
+        # the p = 0 atom has Q < 0; the law itself is positive, Case III
+        model = {"family": "discrete_joint", "atoms": [[1, 2, 0.5], [1, 0.5, 0.5], [-1, 2, 0]]}
+        code, report = run_command(tmp_path, "classify", model)
+        assert code == 0
+        assert report["regime"]["case"] == "III-clt"
+        code, report = run_command(tmp_path, "verify", model, samples=2000)
+        assert code in (0, 1)
+        assert report["passed"] is (code == 0)
+
+    def test_zero_probability_m_zero_atom_is_case_i(self, tmp_path):
+        model = {"family": "discrete_joint", "atoms": [[1, 2, 0.5], [1, -2, 0.5], [1, 0, 0]]}
+        code, report = run_command(tmp_path, "classify", model)
+        assert code == 0
+        assert report["regime"]["case"] == "I-sym"
+        assert report["regime"]["mu"] == math.log(2.0)
+        assert report["regime"]["limit"] == "BernoulliConvolution(0.5)"
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_beta2_zero_exits_two(self, tmp_path, capsys, command):
+        # Q = 0 and M = +-1: R_n = 0, and Gaussian(0) is no law to test against
+        model = {"family": "signed_unit", "p_m": 0.5, "q": {"family": "constant", "value": 0.0}}
+        code, report = run_command(tmp_path, command, model)
+        assert code == 2
+        assert report is None
+        assert "beta2 must be positive" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -527,3 +664,54 @@ class TestBundledConfigs:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["regime"]["case"] == case
+
+    @pytest.mark.parametrize(
+        "name,manifest,report",
+        [
+            (
+                "case1_sym.json",
+                "88d6f6c6e29c5beea667934358112385a9f0a56f11b75712b5b5fe9c2a984987",
+                "812e50529cb33b8851c818f67170d2f83c72fcd37bdd9c5a08523b82d483a4d3",
+            ),
+            (
+                "case1_asym.json",
+                "010a98ae213237f6e154405b280afa2ca0931a6cebafb3ec8a05347603a75068",
+                "f17260b60f63f7a065187428b391eb874cec0afa6527e9c856319191419a973b",
+            ),
+            (
+                "case2_abs.json",
+                "d698558d2c763703783dd602729cebdc498f36957842ee31c4a25acc538649dc",
+                "35172b640a53326752dc594e6932b9f2faf97eb9cc80205a53c041579c116b02",
+            ),
+            (
+                "case3_clt.json",
+                "c4b6ebc93f6f28ba8981b372b9f7ee20b742335b6bd500e39fc2e085212b3765",
+                "e926c55ab15b9d6b65f8368e743d6a351e2d9da0075a5f41fb2817a97fbb474e",
+            ),
+            (
+                "case3_evt.json",
+                "0923812057a7f6443fcbc6c0e95e508b520fb4de2c1f35333844274bb6cb877c",
+                "a426c2ea576cc65ccecaac969a1fed266be38a503f97998c2fd8292c3020aae3",
+            ),
+            (
+                "case4.json",
+                "0560f1d9e5c3210ef6b628c1d8a8097a682c2cae1ee5a24c65e8bd8207d9a37e",
+                "c63ccccba8fdab5acb71a3ed2644a8dc9fd2c3bc46a6280623e462af453e83a9",
+            ),
+            (
+                "oracle_fair_sign.json",
+                "ab8f0601b0edd7d3968b237dd8107b5b2209854890e62d1175237c5244b42801",
+                "23ad826a8266f957931919947b5f17846f1125ce79f2e19b79fe9bccbda2533e",
+            ),
+        ],
+    )
+    def test_classify_outputs_pinned(self, tmp_path, name, manifest, report):
+        """The schema echo and the regime, labels included, byte for byte."""
+        out = tmp_path / "out"
+        code = main(["classify", "--config", str(CONFIGS / name), "--out", str(out), "--quiet"])
+        assert code == 0
+        digests = [
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("manifest.json", "report.json")
+        ]
+        assert digests == [manifest, report]

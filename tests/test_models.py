@@ -101,6 +101,15 @@ class TestValidation:
             QLogPareto(0.5, 1.0)
         QLogPareto(-2.0, 1.0)  # boundary index is constructible
 
+    def test_zero_probability_atoms_dropped(self):
+        # every reader of atoms sees the support: classify, the draws,
+        # positive and the moments alike
+        support = (((1.0, 2.0), 0.5), ((1.0, 0.5), 0.5))
+        model = DiscreteJoint(support + (((-1.0, 0.0), 0.0),))
+        assert model == DiscreteJoint(support)
+        assert model.positive
+        assert analytic_moments(model).mu == 0.0
+
     def test_boundary_ell_and_scale(self):
         with pytest.raises(InvalidModelError):
             QLogBoundary("constant", 2.0)

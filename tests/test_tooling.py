@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import perpsim
+import perpsim.config
 import perpsim.simulate
 from perpsim.cli import main, verification_rows
 from perpsim.config import load_config
@@ -32,6 +34,14 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"perpsim.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_schema_docstring_names_every_family():
+    # the families the schema documents are the families the tables parse
+    config = perpsim.config
+    models, q_laws = config.__doc__.split("Models::")[1].split("Q laws::")
+    named = [re.findall(r'"family": "(\w+)"', part) for part in (models, q_laws)]
+    assert named == [list(config._PAIR_FAMILIES), list(config._Q_FAMILIES)]
 
 
 def load_module(path: Path):
