@@ -18,15 +18,17 @@ Every family draws one (q, m) pair from exactly two uniforms (first
 feeds Q, second feeds M; jointly-atomic families use the first and
 discard the second). Fixed consumption is what makes trajectory streams
 reproducible and chunkable. ``scaled_draws`` returns the pairs of a slab
-of steps as ``Draws``, which also carries, for a positive law, the logs
-the draws were made from.
+of steps as ``Draws``: each variable as its family made it, the logs Y of
+Q = e^Y or the exact values, and for a positive law the logs of both.
+With ``in_place`` the draws are written over the uniforms, so the engine
+draws into its own buffers; ``reads`` names the uniforms a family reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -63,13 +65,13 @@ _ATOL = 1e-12  # tolerance for exact-moment comparisons (mu == 0, E|M| == 1)
 _SQRT_E = math.sqrt(math.e)
 
 
-def _ndtri(u: np.ndarray) -> np.ndarray:
+def _ndtri(u: np.ndarray, out=None) -> np.ndarray:
     """scipy's normal quantile. Only the lognormal families draw with it,
     and they import scipy.special when built, not with this module: so a
     Case I run never loads it, and pool workers forked later inherit it."""
     from scipy.special import ndtri
 
-    return ndtri(u)
+    return ndtri(u, out=out)
 
 
 def _validate_prob(p: float, name: str) -> None:
@@ -77,45 +79,86 @@ def _validate_prob(p: float, name: str) -> None:
         raise InvalidModelError(f"{name} must lie strictly in (0, 1), got {p}")
 
 
-def _sign_draws(u: np.ndarray, p: float, value: float) -> ScaledVector:
-    """value where u < p, else -value (value > 0), as a ScaledVector.
+def _signs(u: np.ndarray, p: float, value: float, in_place: bool) -> Drawn:
+    """value where u < p, else -value (value > 0), as exact doubles.
 
-    The mantissa is 2m * [u < p] - m for value's mantissa m, exact in
-    doubles; the exponent is value's own, broadcast read-only. Equal bit
-    for bit to ``vec_from_real(np.where(u < p, value, -value))``.
+    -copysign(value, u - p): u - p is below 0 exactly when u < p, and
+    +0.0 when u = p.
     """
-    m, e = vec_from_real(np.array([value]))
-    mantissa = np.multiply(u < p, 2.0 * m[0])
-    mantissa -= m[0]
-    return ScaledVector(mantissa, np.broadcast_to(e[0], mantissa.shape))
+    s = np.subtract(u, p, out=u if in_place else None)
+    np.copysign(value, s, out=s)
+    return Drawn(np.negative(s, out=s), "real")
 
 
-class Draws(tuple):
-    """The (q, m) ScaledVectors of a slab of steps, unpacked as a pair.
+class Drawn(NamedTuple):
+    """One variable's draws over a slab of steps, as its family made them.
 
-    ``logs`` is (ln Q, ln M) as the family computed them on the way, the
-    logs from which it built q and m; None for a law that can draw
-    Q <= 0 or M <= 0. The engine builds W's max term from them.
+    ``kind`` "log": ``data`` holds the logs Y of the draws e^Y; "real": the
+    draws themselves, exact doubles; "scaled": a ScaledVector (from a model
+    outside these families). A law that draws the same value at every
+    step gives it broadcast, its rows of stride 0. ``scaled`` makes the
+    ScaledVectors, of the given columns only, by the functions of
+    ``perpsim.scaled`` that the engine's native form is made by too.
     """
 
-    def __new__(cls, q: ScaledVector, m: ScaledVector, logs=None):
-        draws = super().__new__(cls, (q, m))
-        draws.logs = logs
-        return draws
+    data: object
+    kind: str
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.data.mantissa if self.kind == "scaled" else self.data).shape
+
+    def scaled(self, cols=None) -> ScaledVector:
+        data = self.data
+        if self.kind == "scaled":
+            return data if cols is None else ScaledVector(data.mantissa[:, cols], data.exponent[:, cols])
+        if cols is not None:
+            data = data[:, cols]
+        return (vec_from_log if self.kind == "log" else vec_from_real)(data)
 
 
-class _LogLaw:
+class Draws:
+    """The (q, m) draws of a slab of steps, unpacked as two ScaledVectors.
+
+    ``q`` and ``m`` are the ``Drawn`` the family made; the ScaledVectors
+    are made from them each time the pair is read. ``logs`` is (ln Q,
+    ln M) as the family computed them on the way; None for a law that can
+    draw Q <= 0 or M <= 0. The engine builds W's max term from them.
+    """
+
+    def __init__(self, q: Drawn, m: Drawn, logs=None) -> None:
+        self.q, self.m, self.logs = q, m, logs
+
+    def __getitem__(self, i) -> ScaledVector:
+        return (self.q, self.m)[i].scaled()
+
+    def __iter__(self):
+        return (d.scaled() for d in (self.q, self.m))
+
+
+def _own(u: np.ndarray, in_place: bool) -> np.ndarray:
+    """u to write the draws over: u itself, or a copy."""
+    return u if in_place else np.array(u, dtype=np.float64)
+
+
+class _QLaw:
+    """Q marginal: ``draw`` gives the draws of a slab of uniforms and, for
+    Q > 0, their logs."""
+
+    reads = True  # the draws read their uniforms
+
+    def draws(self, u: np.ndarray) -> ScaledVector:
+        return self.draw(u)[0].scaled()
+
+
+class _LogLaw(_QLaw):
     """Q = e^Y for a law of Y: draws made from the logs Y."""
 
     positive = True
 
-    def draws(self, u: np.ndarray) -> ScaledVector:
-        return vec_from_log(self.logs(u))
-
-    def log_draws(self, u: np.ndarray):
-        """The draws and their logs Y."""
-        y = self.logs(u)
-        return vec_from_log(y), y
+    def draw(self, u: np.ndarray, in_place: bool = False):
+        y = self.logs(_own(u, in_place))
+        return Drawn(y, "log"), y
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +167,7 @@ class _LogLaw:
 
 
 @dataclass(frozen=True)
-class QConstant:
+class QConstant(_QLaw):
     """Q identically equal to ``value``."""
 
     value: float
@@ -133,15 +176,13 @@ class QConstant:
         if not math.isfinite(self.value):
             raise InvalidModelError("constant Q must be finite")
 
-    def draws(self, u: np.ndarray) -> ScaledVector:
-        # one decomposition, broadcast read-only to the shape of u
-        one = vec_from_real(np.array([self.value]))
-        return ScaledVector(*(np.broadcast_to(a, u.shape) for a in one))
+    reads = False
 
-    def log_draws(self, u: np.ndarray):
-        """The draws and ln Q, broadcast; None for a constant <= 0."""
+    def draw(self, u: np.ndarray, in_place: bool = False):
+        """The value and ln Q, broadcast to the shape of u; no log for a
+        constant <= 0."""
         logs = np.broadcast_to(math.log(self.value), u.shape) if self.positive else None
-        return self.draws(u), logs
+        return Drawn(np.broadcast_to(self.value, u.shape), "real"), logs
 
     def moments(self) -> tuple[float, float]:
         return self.value, self.value * self.value
@@ -152,7 +193,7 @@ class QConstant:
 
 
 @dataclass(frozen=True)
-class QRademacher:
+class QRademacher(_QLaw):
     """Q = +1 with probability p, else -1."""
 
     p: float
@@ -160,8 +201,8 @@ class QRademacher:
     def __post_init__(self) -> None:
         _validate_prob(self.p, "Rademacher p")
 
-    def draws(self, u: np.ndarray) -> ScaledVector:
-        return _sign_draws(u, self.p, 1.0)
+    def draw(self, u: np.ndarray, in_place: bool = False):
+        return _signs(u, self.p, 1.0, in_place), None
 
     def moments(self) -> tuple[float, float]:
         return 2.0 * self.p - 1.0, 1.0
@@ -184,7 +225,11 @@ class QLogNormal(_LogLaw):
         import scipy.special  # noqa: F401  (see _ndtri)
 
     def logs(self, u: np.ndarray) -> np.ndarray:
-        return self.mean + math.sqrt(self.var) * _ndtri(u)
+        """mean + sqrt(var) ndtri(u), over u."""
+        y = _ndtri(u, out=u)
+        y *= math.sqrt(self.var)
+        y += self.mean
+        return y
 
     def moments(self) -> tuple[float, float]:
         return (
@@ -217,8 +262,11 @@ class QLogPareto(_LogLaw):
             raise InvalidModelError("Pareto scale t0 must be positive")
 
     def logs(self, u: np.ndarray) -> np.ndarray:
-        # inverse tail: P(Y > t) = (t/t0)^alpha  =>  Y = t0 * u^(1/alpha)
-        return self.t0 * u ** (1.0 / self.alpha)
+        # inverse tail: P(Y > t) = (t/t0)^alpha  =>  Y = t0 * u^(1/alpha),
+        # over u
+        y = np.power(u, 1.0 / self.alpha, out=u)
+        y *= self.t0
+        return y
 
     def moments(self) -> tuple[float, float]:
         return math.inf, math.inf
@@ -281,12 +329,13 @@ class QLogBoundary(_LogLaw):
         return 0.5 * (lo + hi)
 
     def logs(self, u: np.ndarray) -> np.ndarray:
+        """The logs, written over u."""
         h0 = float(self.tail(self.t0))
-        y = np.full(u.shape, self.t0)
         interior = u < h0
-        if np.any(interior):
-            y[interior] = self._invert_tail(u[interior])
-        return y
+        tails = self._invert_tail(u[interior]) if np.any(interior) else 0.0
+        u[...] = self.t0
+        u[interior] = tails
+        return u
 
     def moments(self) -> tuple[float, float]:
         return math.inf, math.inf
@@ -330,21 +379,43 @@ class DiscreteJoint:
         cum[-1] = 1.0
         return qs, ms, cum
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        # joint atom chosen by the Q-slot uniform; the M-slot one is unused
+    reads = (True, False)
+
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
+        # joint atom chosen by the Q-slot uniform; the M-slot one is unused,
+        # and takes the M values when in place
         qs, ms, cum = self._tables()
-        idx = np.searchsorted(cum, u_q, side="right")
-        idx = np.minimum(idx, len(self.atoms) - 1)
-        logs = (np.log(qs)[idx], np.log(ms)[idx]) if self.positive else None
-        return Draws(vec_from_real(qs[idx]), vec_from_real(ms[idx]), logs)
+        q = _own(u_q, in_place)
+        m = u_m if in_place else np.empty(q.shape)
+        tables = [(qs, q), (ms, m)]
+        logs = None
+        if self.positive:
+            logs = (np.empty(q.shape), np.empty(q.shape))
+            tables += [(np.log(qs), logs[0]), (np.log(ms), logs[1])]
+        # a row at a time, so the atom indices take O(B) memory
+        width = q.shape[-1]
+        for j, row in enumerate(q.reshape(-1, width)):
+            idx = np.searchsorted(cum, row, side="right")
+            for table, out in tables:
+                np.take(table, idx, out=out.reshape(-1, width)[j], mode="clip")
+        return Draws(Drawn(q, "real"), Drawn(m, "real"), logs)
 
     @property
     def positive(self) -> bool:
         return all(q > 0.0 and m > 0.0 for (q, m), _ in self.atoms)
 
 
+class _IndependentQ:
+    """A family whose Q, of law ``q_law``, is independent of M."""
+
+    @property
+    def reads(self) -> tuple[bool, bool]:
+        """Whether the draws read the Q and the M uniform of a step."""
+        return self.q_law.reads, True
+
+
 @dataclass(frozen=True)
-class ScaledRademacher:
+class ScaledRademacher(_IndependentQ):
     """M = rho * eps with rho > 1 and P(eps = +1) = p; Q independent."""
 
     rho: float
@@ -360,14 +431,15 @@ class ScaledRademacher:
                 "ScaledRademacher supports Q constant or Rademacher"
             )
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        return Draws(self.q_law.draws(u_q), _sign_draws(u_m, self.p, self.rho))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
+        q, _ = self.q_law.draw(u_q, in_place)
+        return Draws(q, _signs(u_m, self.p, self.rho, in_place))
 
     positive = False
 
 
 @dataclass(frozen=True)
-class LogNormalPair:
+class LogNormalPair(_IndependentQ):
     """M = e^X with X ~ Normal(mu_x, v2); Q independent of M."""
 
     mu_x: float
@@ -385,10 +457,12 @@ class LogNormalPair:
             )
         import scipy.special  # noqa: F401  (see _ndtri)
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        x = self.mu_x + math.sqrt(self.v2) * _ndtri(u_m)
-        q, y = self.q_law.log_draws(u_q)
-        return Draws(q, vec_from_log(x), None if y is None else (y, x))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
+        x = _ndtri(u_m, out=_own(u_m, in_place))
+        x *= math.sqrt(self.v2)
+        x += self.mu_x
+        q, y = self.q_law.draw(u_q, in_place)
+        return Draws(q, Drawn(x, "log"), None if y is None else (y, x))
 
     @property
     def positive(self) -> bool:
@@ -396,7 +470,7 @@ class LogNormalPair:
 
 
 @dataclass(frozen=True)
-class SignedUnit:
+class SignedUnit(_IndependentQ):
     """M in {-1, +1} with P(M = +1) = p_m; Q independent, finite variance."""
 
     p_m: float
@@ -407,8 +481,9 @@ class SignedUnit:
         if not isinstance(self.q_law, _FINITE_VAR_QLAWS):
             raise InvalidModelError("SignedUnit requires a finite-variance Q")
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        return Draws(self.q_law.draws(u_q), _sign_draws(u_m, self.p_m, 1.0))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
+        q, _ = self.q_law.draw(u_q, in_place)
+        return Draws(q, _signs(u_m, self.p_m, 1.0, in_place))
 
     positive = False
 

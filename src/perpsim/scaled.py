@@ -64,41 +64,56 @@ class ScaledVector(NamedTuple):
     exponent: np.ndarray
 
 
-def vec_from_real(x: np.ndarray) -> ScaledVector:
+def _outputs(shape, out) -> tuple[np.ndarray, np.ndarray]:
+    """``out``, a (mantissa, exponent) pair of float64 and int64 arrays of
+    the given shape, or fresh ones."""
+    if out is None:
+        return np.empty(shape), np.empty(shape, np.int64)
+    return tuple(out)
+
+
+def vec_from_real(x: np.ndarray, out=None) -> ScaledVector:
+    """x exactly; into the arrays of ``out`` when given."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    # NaN and +-inf reach the extremes; no mask of the whole array is made
+    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):
         raise InvalidInputError("cannot represent non-finite values")
-    m, e = np.frexp(x)
-    # -0.0 becomes the canonical zero (0.0, 0): -0.0 + 0.0 is 0.0, and
-    # frexp gives zero the exponent 0
+    m, e = np.frexp(x, out=_outputs(x.shape, out))
+    # -0.0 becomes the canonical zero (0.0, 0): -0.0 + 0.0 is 0.0, and a
+    # zero gets back frexp's exponent 0
     m *= 2.0
     m += 0.0
-    return ScaledVector(m, np.subtract(e, m != 0.0, dtype=np.int64))
+    e -= 1
+    if np.count_nonzero(m) < m.size:
+        np.copyto(e, 0, where=m == 0.0)
+    return ScaledVector(m, e)
 
 
-def vec_from_log(log_values: np.ndarray) -> ScaledVector:
-    """e**log_values, positive.
+def vec_from_log(log_values: np.ndarray, out=None) -> ScaledVector:
+    """e**log_values, positive; into the arrays of ``out`` when given.
 
     Raises ExponentOverflowError, with the position of the first offender
     as its ``index``, if an exponent is beyond +/-2**62 or not finite.
     """
-    # t turns from the base-2 log into the mantissa in place: a fresh array
-    # per step costs more than its arithmetic at draw sizes
-    t = np.multiply(log_values, _LOG2E, dtype=np.float64)
-    e = np.floor(t)
-    # checked before the int64 cast, which would wrap; NaN fails it too
-    if not (-EXPONENT_LIMIT <= e.min(initial=0.0) and e.max(initial=0.0) <= EXPONENT_LIMIT):
-        index = np.unravel_index(np.argmin(np.abs(e) <= EXPONENT_LIMIT), e.shape)
+    # t turns from the base-2 log into the mantissa in place
+    t, e = _outputs(np.shape(log_values), out)
+    np.multiply(log_values, _LOG2E, out=t)
+    # floor(t) lies in [-2**62, 2**62] exactly when t does, as 2**62 + 1 is
+    # no double; checked before the int64 cast, which would wrap, and NaN
+    # fails it too
+    if not (-EXPONENT_LIMIT <= t.min(initial=0.0) and t.max(initial=0.0) <= EXPONENT_LIMIT):
+        index = np.unravel_index(np.argmin((t >= -EXPONENT_LIMIT) & (t <= EXPONENT_LIMIT)), t.shape)
         raise ExponentOverflowError(
             f"e**{float(log_values[index])!r} has an exponent beyond +/-2**62", index
         )
+    np.floor(t, out=e, casting="unsafe")
     t -= e
     np.exp2(t, out=t)
-    high = t >= 2.0
-    if np.any(high):
+    if t.max(initial=0.0) >= 2.0:
+        high = t >= 2.0
         np.multiply(t, 0.5, out=t, where=high)
         e += high
-    return ScaledVector(t, e.astype(np.int64))
+    return ScaledVector(t, e)
 
 
 def vec_mul(a: ScaledVector, b: ScaledVector) -> ScaledVector:

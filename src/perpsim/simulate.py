@@ -17,27 +17,33 @@ Only the top value of w >> 11 meets the clamp; its tie would round to
 sets the counter to (lo, p), lo the block's first trajectory, and one
 ``random_raw`` call yields that pair for every trajectory of the block.
 A sub-block's words become uniforms in one pass, right before it is
-stepped. A trajectory's stream depends on neither N nor its block, and
-every step, screen and fallback acts on each trajectory alone. So output
-is bit-identical for any split into blocks (``BLOCK`` trajectories each)
-and any ``workers`` setting; results are gathered in trajectory order.
+stepped; the words of a uniform the law never reads (a constant Q's) are
+neither copied nor converted. A trajectory's stream depends on neither N
+nor its block, and every step, screen and fallback acts on each
+trajectory alone. So output is bit-identical for any split into blocks
+(``BLOCK`` trajectories each) and any ``workers`` setting; results are
+gathered in trajectory order.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
 exponent E: one step is ``r *= m; r += q * 2**-E``, and |r| is brought
 back to [1, 2) every ``RENORM`` steps and at every checkpoint, where
-(r, E) is the snapshot, a ``ScaledVector``. A screen after each such
-sub-block finds every step whose native result may differ from the
-scaled arithmetic of ``perpsim.scaled`` (a state near the ends of double
-range, an extreme M, a Q lost to underflow). A trajectory with such a
-step takes the first one with ``vec_add``/``vec_mul`` and reruns the
-sub-block natively from there, until no inexact step is left. So every
-snapshot is bit-identical to the scaled recursion
-``R = vec_add(q, vec_mul(m, R))`` run one step at a time. With
-``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j, a Case III
-diagnostic, in native floats. W is built from the logs ln Q and ln M
-from which the family made its draws (``Draws.logs``: Y and X for
-Q = e^Y and M = e^X), not from the ScaledVectors. The tests replay
+(r, E) is the snapshot, a ``ScaledVector``. A block works in one set of
+buffers: the family writes its draws over the sub-block's uniforms (the
+logs Y and X of Q = e^Y and M = e^X, or the exact values of sign and
+atomic laws), and native M and Q * 2**-E are made from them once per
+sub-block, by the functions that would make their ScaledVectors, a
+constant Q as one row. A screen after each sub-block finds every step
+whose native result may differ from the scaled arithmetic of
+``perpsim.scaled`` (a state near the ends of double range, an extreme M,
+a Q lost to underflow against a zero product). Only a trajectory with
+such a step gets ScaledVectors of its draws: it takes the first such
+step with ``vec_add``/``vec_mul`` and reruns the sub-block natively from
+there, until no inexact step is left. So every snapshot is bit-identical
+to the scaled recursion ``R = vec_add(q, vec_mul(m, R))`` run one step at
+a time. With ``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j,
+a Case III diagnostic, in native floats, built from the logs the family
+drew (``Draws.logs``), not from the ScaledVectors. The tests replay
 single trajectories from their own streams in exact rational and mpmath
 arithmetic and compare them with ``run_batch``.
 """
@@ -47,6 +53,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 # Generator is unused here but stays a module name: perfbench/tracing.py
@@ -61,11 +68,12 @@ from .errors import (
     InvalidModelError,
     TooLargeError,
 )
-from .models import DiscreteJoint, PairModel, SignedUnit, analytic_moments
+from .models import DiscreteJoint, Draws, Drawn, PairModel, SignedUnit, analytic_moments
 from .scaled import (
     EXPONENT_LIMIT,
     ScaledVector,
     vec_add,
+    vec_from_log,
     vec_from_real,
     vec_mul,
     vec_to_real,
@@ -95,6 +103,7 @@ RENORM = 32  # native recursion steps between renormalizations
 # Native steps stay exact while states lie in 2**+-900 and |M| in 2**+-60.
 _STATE_HI = 2.0**900
 _STATE_LO = 2.0**-900
+_STATE_LO_BITS = int(np.float64(_STATE_LO).view(np.uint64))
 _M_EXPONENT_LIMIT = 60
 
 
@@ -110,19 +119,25 @@ def _splitmix64(z):
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Uniforms (word >> 11) * 2**-53 + 2**-54 of raw Philox words, in place.
+    """Uniforms min((word >> 11) * 2**-53 + 2**-54, 1 - 2**-53) of raw
+    Philox words, in place in a C-contiguous array; returns them as doubles.
 
     ``Generator.random()`` is (word >> 11) * 2**-53, so each value is that
     uniform shifted into (0, 1), bit for bit, but for the word whose top
     53 bits are all ones: its tie rounds to 1.0, clamped to 1 - 2**-53.
-    The result is the float64 view of ``words``.
+    Made as float((word >> 10) | 1) * 2**-54: (word >> 10) | 1 is 2k + 1
+    for k = word >> 11, below 2**54, so the int64 to float64 cast rounds
+    (2k + 1) * 2**-54 once, as the sum above does. A cast of one flat
+    array reads each word before it writes the double over it.
     """
-    words >>= 11
-    out = words.view(np.float64)
-    np.multiply(words.view(np.int64), 2.0**-53, out=out)
-    out += 2.0**-54
+    flat = words.reshape(-1)
+    flat >>= 10
+    flat |= 1
+    out = flat.view(np.float64)
+    np.copyto(out, flat.view(np.int64), casting="unsafe")
+    out *= 2.0**-54
     np.minimum(out, 1.0 - 2.0**-53, out=out)
-    return out
+    return out.reshape(words.shape)
 
 
 def stream_key(master_seed: int) -> int:
@@ -183,33 +198,78 @@ class _Work:
 
     def __init__(self, B: int, cells: np.ndarray | None = None) -> None:
         if cells is None:
-            cells = np.empty((3 * RENORM + 1) * B)
-        rows = cells[: (3 * RENORM + 1) * B].reshape(3 * RENORM + 1, B)
-        self.h = rows[: RENORM + 1]  # states r, from the start state
-        self.q = rows[RENORM + 1 : 2 * RENORM + 1]  # Q * 2**-E
+            cells = np.empty(_WORK_WORDS * B)
+        rows = cells[: _WORK_WORDS * B].reshape(_WORK_WORDS, B)
+        self.h = rows[: RENORM + 1]  # exponents of the draws, then states r
+        self.q = rows[RENORM + 1 : 2 * RENORM + 1]  # Q * 2**-E, then W's sums
         self.m = rows[2 * RENORM + 1 :]  # M, then scratch
 
 
 # 8-byte words of a block's buffers per trajectory: the raw words of a
 # sub-block, then its _Work
+_WORK_WORDS = 3 * RENORM + 1
 _RAW_WORDS = 2 * (RENORM + 2)
-_BLOCK_WORDS = _RAW_WORDS + 3 * RENORM + 1
+_BLOCK_WORDS = _RAW_WORDS + _WORK_WORDS
+
+# the families that draw over the uniforms they are given (``in_place``)
+_FAMILIES = get_args(PairModel)
 
 
-def _native(v: ScaledVector, shift, out: np.ndarray) -> np.ndarray:
+def _native(v: ScaledVector, shift, out: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
     """v * 2**-shift as doubles in out: 0 below 2**-1022, inf above 2**1023.
 
-    The power of two is built from its bits; np.ldexp is several times
-    slower.
+    The power of two is built from its bits, in ``bits`` (int64, of out's
+    shape; out's own memory when None, or v's exponents when they are
+    there); np.ldexp is several times slower.
     """
-    bits = out.view(np.int64)
+    if bits is None:
+        bits = out.view(np.int64)
     np.subtract(v.exponent, shift, out=bits)
     np.maximum(bits, -1023, out=bits)
     np.minimum(bits, 1024, out=bits)
     bits += 1023
     bits <<= 52
-    out *= v.mantissa
-    return out
+    return np.multiply(v.mantissa, bits.view(np.float64), out=out)
+
+
+def _native_rows(d: Drawn, shift, out: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The draws of d times 2**-shift as doubles, equal to ``_native`` of
+    ``d.scaled()``, in out; bits (int64, out's shape) is scratch, left
+    holding per draw x = m * 2**e, as doubles, |x * 2**-shift| or
+    2**(e - shift) (1 for x = 0), clamped like ``_native``.
+
+    Made from d's own logs or values by the functions that make
+    ``d.scaled()``, without its ScaledVectors. A draw the same at every
+    step (a constant law) is made once, as one row, broadcast.
+    """
+    if d.kind == "scaled":
+        v = d.data
+    else:
+        data = d.data[:1] if d.data.strides[0] == 0 else d.data
+        n = data.shape[0]
+        if d.kind == "real" and _native_product(data, shift, out[:n], bits[:n]):
+            return np.broadcast_to(out[:n], d.shape)
+        make = vec_from_log if d.kind == "log" else vec_from_real
+        v = make(data, out=(out[:n], bits[:n]))
+    n = v.mantissa.shape[0]
+    return np.broadcast_to(_native(v, shift, out[:n], bits[:n]), d.shape)
+
+
+def _native_product(x: np.ndarray, shift, out: np.ndarray, bits: np.ndarray) -> bool:
+    """x * 2**-shift as one product of doubles, in out, when it equals
+    ``_native`` of ``vec_from_real(x)``; returns whether it does.
+
+    With x = m * 2**e and |shift| <= 1022, 2**-shift is a normal double and
+    the product is m * 2**(e - shift) exactly while that lies in normal
+    range, inf above it, as ``_native`` gives. Below 2**-1022 ``_native``
+    gives 0 and the product does not, so a product of magnitude
+    2**-1022 or less (a zero x too) leaves it to ``_native``.
+    """
+    shift = np.asarray(shift, np.int64)
+    if np.abs(shift).max(initial=0) > 1022:
+        return False
+    np.multiply(x, ((1023 - shift) << 52).view(np.float64), out=out)
+    return np.abs(out, out=bits.view(np.float64)).min(initial=np.inf) > 2.0**-1022
 
 
 def _scaled(r: np.ndarray, E: np.ndarray) -> ScaledVector:
@@ -222,37 +282,60 @@ def _take(v: ScaledVector, idx) -> ScaledVector:
     return ScaledVector(v.mantissa[idx], v.exponent[idx])
 
 
-def _native_pass(r, E, q: ScaledVector, m: ScaledVector, work=None):
+def _drawn(v) -> Drawn:
+    return v if isinstance(v, Drawn) else Drawn(v, "scaled")
+
+
+def _native_pass(r, E, q, m, work=None):
     """States of R = r * 2**E stepped in doubles: h[j + 1] = m_j h[j] + q_j 2**-E.
 
-    Returns the states h, shaped (k + 1, B), and the native Q.
+    q and m are ``Drawn`` or ScaledVectors, shaped (k, B). Returns the
+    states h, shaped (k + 1, B), the native Q, and per trajectory whether
+    every |M| has an exponent within +-60 (or M = 0).
     """
-    k, B = q.mantissa.shape
+    q, m = _drawn(q), _drawn(m)
+    k, B = q.shape
     if work is None:
         work = _Work(B)
-    h, qn, mn = work.h[: k + 1], work.q[:k], work.m[:k]
-    h[0] = r
+    h = work.h[: k + 1]
+    # the states' rows hold the draws' exponents until the steps fill them
+    bits = h[1:].view(np.int64)
     # overflow, underflow and 0 * inf are caught by the checks that follow
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        _native(q, E, qn)
-        _native(m, 0, mn)
+        qn = _native_rows(q, E, work.q[:k], bits)
+        mn = _native_rows(m, 0, work.m[:k], bits)
+        # |M| or 2**e for M = m * 2**e lies in [2**-60, 2**61) just when e
+        # is within +-60, and M = 0 (exponent 0) gives 1
+        a = bits[: 1 if mn.strides[0] == 0 else k].view(np.float64)
+        m_ok = (a.max(axis=0) < 2.0 ** (_M_EXPONENT_LIMIT + 1)) & (a.min(axis=0) >= 2.0**-_M_EXPONENT_LIMIT)
+        h[0] = r
         for j in range(k):
             np.multiply(mn[j], h[j], out=h[j + 1])
             h[j + 1] += qn[j]
-    return h, qn
+    return h, qn, m_ok
 
 
-def _suspect(h: np.ndarray, m: ScaledVector, work: _Work) -> np.ndarray:
+def _suspect(h: np.ndarray, qn: np.ndarray, m_ok: np.ndarray, work: _Work) -> np.ndarray:
     """Per trajectory: may some step differ from the scaled recursion?
 
-    A screen by column extremes for the rules of ``_inexact``. A lost Q
-    met by a zero product leaves a zero state, which the lower bound flags.
+    A screen by column extremes for the rules of ``_inexact``, with
+    ``work.m`` as scratch; ``m_ok`` is its rule on M. A zero state is
+    exact, so the lower bound is checked on the bits of |r| less one, as
+    unsigned words, where 0 wraps to the top. A Q lost to underflow is 0
+    natively, and the zero product it meets leaves a zero state, so a
+    column with both is flagged.
     """
-    a = np.abs(h[1:], out=work.m[: h.shape[0] - 1])
-    ok = (a.max(axis=0) <= _STATE_HI) & (a.min(axis=0) >= _STATE_LO)
-    ok &= m.exponent.max(axis=0) <= _M_EXPONENT_LIMIT
-    ok &= m.exponent.min(axis=0) >= -_M_EXPONENT_LIMIT
-    return ~ok
+    k = h.shape[0] - 1
+    a = np.abs(h[1:], out=work.m[:k])
+    ok = m_ok & (a.max(axis=0) <= _STATE_HI)
+    zero = a.min(axis=0) == 0.0
+    # nonnegative doubles order as their bits do
+    below = a.view(np.uint64)
+    below -= 1
+    ok &= below.min(axis=0) >= _STATE_LO_BITS - 1
+    q_rows = qn[:1] if qn.strides[0] == 0 else qn
+    lost = np.abs(q_rows, out=work.m[: len(q_rows)]).min(axis=0) == 0.0
+    return ~ok | (zero & lost)
 
 
 def _inexact(h: np.ndarray, qn: np.ndarray, q: ScaledVector, m: ScaledVector) -> np.ndarray:
@@ -272,8 +355,9 @@ def _inexact(h: np.ndarray, qn: np.ndarray, q: ScaledVector, m: ScaledVector) ->
     return bad
 
 
-def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVector:
-    """R = r * 2**E after the steps of draws q, m (shaped (k, B)).
+def _advance(r, E, q, m, work: _Work) -> ScaledVector:
+    """R = r * 2**E after the steps of draws q, m (``Drawn`` or
+    ScaledVectors, shaped (k, B)).
 
     Bit-identical to k rounds of R = vec_add(q_j, vec_mul(m_j, R)). Every
     trajectory first steps natively. While a trajectory's native run has an
@@ -286,14 +370,18 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
     steps too: a law whose every step is inexact (|M| = 2**80) takes one
     round. Each scaled step moves every trajectory of its round forward,
     and a held step is exact in doubles, so the loop takes at most k scaled
-    steps.
+    steps. ScaledVectors of the draws are made for the trajectories the
+    screen flags, and only for them.
     """
-    k = q.mantissa.shape[0]
-    h, qn = _native_pass(r, E, q, m, work=work)
+    q, m = _drawn(q), _drawn(m)
+    k = q.shape[0]
+    h, qn, m_ok = _native_pass(r, E, q, m, work=work)
     r_end, E_end = h[-1].copy(), E.copy()
-    todo = np.flatnonzero(_suspect(h, m, work))
+    todo = np.flatnonzero(_suspect(h, qn, m_ok, work))
+    if not todo.size:
+        return _scaled(r_end, E_end)
     cols = (slice(None), todo)
-    q, m, h, qn, E = _take(q, cols), _take(m, cols), h[cols], qn[cols], E[todo]
+    q, m, h, qn, E = q.scaled(todo), m.scaled(todo), h[cols], qn[cols], E[todo]
     while True:
         bad = _inexact(h, qn, q, m)
         failed = np.flatnonzero(bad.any(axis=0))
@@ -323,7 +411,7 @@ def _advance(r, E, q: ScaledVector, m: ScaledVector, work: _Work) -> ScaledVecto
         np.copyto(q.exponent, E, where=held)
         np.copyto(m.mantissa, 1.0, where=held)
         np.copyto(m.exponent, 0, where=held)
-        h, qn = _native_pass(r, E, q, m)
+        h, qn, _ = _native_pass(r, E, q, m)
         r_end[todo], E_end[todo] = h[-1], E
 
 
@@ -364,9 +452,13 @@ def _run_block(
     snaps: dict[int, ScaledVector] = {}
     w_snaps: dict[int, np.ndarray] = {}
     # the raw words of Q, then of M, by step: a sub-block's pairs, one more
-    # row when it starts inside a pair
+    # row when it starts inside a pair. The family draws over the uniforms
+    # of the words it reads; its draws stay there through the sub-block
     raw = cells[: _RAW_WORDS * B].reshape(2, RENORM + 2, B)
+    u = raw.view(np.float64)
     work = _Work(B, cells[_RAW_WORDS * B : _BLOCK_WORDS * B].view(np.float64))
+    in_place = isinstance(model, _FAMILIES)
+    planes = [s for s, read in enumerate(model.reads if in_place else (True, True)) if read]
 
     t = 0
     next_cp = iter(cps)
@@ -380,32 +472,39 @@ def _run_block(
             ctr[1] = p
             bits.state = state
             words = bits.random_raw(4 * B).reshape(B, 2, 2)
-            raw[:, 2 * (p - p0) : 2 * (p - p0 + 1)] = words.transpose(2, 1, 0)
-        u = _uniforms(raw[:, : 2 * (p1 - p0)])
-        j0 = t % 2  # after an odd checkpoint, the second step of pair p0
+            pair = slice(2 * (p - p0), 2 * (p - p0 + 1))
+            if len(planes) == 2:
+                raw[:, pair] = words.transpose(2, 1, 0)
+            else:
+                raw[planes[0], pair] = words[:, :, planes[0]].T
+        for s in planes:
+            _uniforms(raw[s, : 2 * (p1 - p0)])
+        rows = slice(t % 2, t % 2 + k)  # after an odd checkpoint, from the second step of pair p0
         try:
-            draws = model.scaled_draws(u[0, j0 : j0 + k], u[1, j0 : j0 + k])
+            # a family draws over its uniforms; another model gives a pair
+            # of ScaledVectors
+            if in_place:
+                draws = model.scaled_draws(u[0, rows], u[1, rows], in_place=True)
+            else:
+                draws = Draws(*(Drawn(v, "scaled") for v in model.scaled_draws(u[0, rows], u[1, rows])))
+            R = _advance(r, E, draws.q, draws.m, work)
         except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
             j, i = exc.index
             raise ExponentOverflowError(
                 f"trajectory {lo + i}: draw {exc} at n={t + j + 1}"
             ) from None
-        qv, mv = draws
         if track_w:
             # W from the logs the draws were made from, with ln prod_{j<k} M_j
-            # summed one row at a time, as W's roundings need. It borrows the
-            # step's buffer h, and the logs are freed before the step runs
+            # summed one row at a time, as W's roundings need, in the step's
+            # buffer work.q
             ln_q, ln_m = draws.logs
-            lp = work.h[: k + 1]
+            lp = work.q[:k]
             lp[0] = logprod
-            for j in range(k):
+            for j in range(k - 1):
                 np.add(lp[j], ln_m[j], out=lp[j + 1])
-            logprod = lp[-1].copy()
-            lp[:-1] += ln_q
-            np.maximum(w, lp[:-1].max(axis=0), out=w)
-            del ln_q, ln_m
-        del draws
-        R = _advance(r, E, qv, mv, work)
+            logprod = lp[-1] + ln_m[-1]
+            lp += ln_q
+            np.maximum(w, lp.max(axis=0), out=w)
         r, E = R
         t += k
         if t == cp:

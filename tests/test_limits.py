@@ -109,24 +109,35 @@ class TestLimitFor:
         law = law_for(LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)))
         assert law == lim.ExpFrechet(-1.0)
 
+    # each label written out from the paper's limit for its model: lambda =
+    # 1/rho and p = P(M > 0) in Case I, with the (Q, sgn M) table when Q is
+    # not one constant; beta^2 = EQ^2 + 2 EQ E(QM) / (1 - EM) in Case IV
     @pytest.mark.parametrize(
-        "model",
+        "model,label",
         [
-            ScaledRademacher(2.0, 0.5, QRademacher(0.5)),
-            ScaledRademacher(2.5, 0.3, QRademacher(0.3)),
-            ScaledRademacher(2.0, 0.5, QConstant(3.0)),
-            ScaledRademacher(2.0, 0.7, QConstant(1.0)),
-            DiscreteJoint((((1.0, 2.0), 0.5), ((-1.0, -2.0), 0.5))),
-            LogNormalPair(0.5, 1.0, QConstant(1.0)),
-            DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -4.0), 0.5))),
-            LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0)),
-            LogNormalPair(0.0, 1.0, QLogPareto(-1.5, 1.0)),
-            SignedUnit(0.6, QConstant(2.0)),
+            pytest.param(*case, id=f"model{i}")
+            for i, case in enumerate([
+                (ScaledRademacher(2.0, 0.5, QRademacher(0.5)), "BernoulliConvolution(0.5)"),
+                (ScaledRademacher(2.5, 0.3, QRademacher(0.3)),
+                 "SymmetrizedPerpetuity(0.4, 0.3, (Q,sgnM)=[(-1,-1):0.49, (-1,+1):0.21, "
+                 "(1,-1):0.21, (1,+1):0.09])"),
+                (ScaledRademacher(2.0, 0.5, QConstant(3.0)), "BernoulliConvolution(0.5, scale=3)"),
+                (ScaledRademacher(2.0, 0.7, QConstant(1.0)), "SymmetrizedPerpetuity(0.5, 0.7)"),
+                (DiscreteJoint((((1.0, 2.0), 0.5), ((-1.0, -2.0), 0.5))),
+                 "SymmetrizedPerpetuity(0.5, 0.5, (Q,sgnM)=[(-1,-1):0.5, (1,+1):0.5])"),
+                (LogNormalPair(0.5, 1.0, QConstant(1.0)), "LogNormalPositive"),
+                (DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -4.0), 0.5))), "LogNormalSymmetric"),
+                (LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0)), "ExpHalfNormal"),
+                (LogNormalPair(0.0, 1.0, QLogPareto(-1.5, 1.0)), "ExpFrechet(-1.5)"),
+                # EQ = 2, E(QM) = 2 (2 * 0.6 - 1) = 0.4, EM = 0.2: 4 + 2 * 2 * 0.4 / 0.8
+                (SignedUnit(0.6, QConstant(2.0)), "Gaussian(6)"),
+            ])
         ],
     )
-    def test_label_matches_regime_prediction(self, model):
+    def test_label_matches_regime_prediction(self, model, label):
         reg = regime_for(model)
-        assert lim.label(lim.limit_for(reg, model)) == reg.limit
+        assert reg.limit == label
+        assert lim.label(lim.limit_for(reg, model)) == label
 
     def test_unsupported_regime(self):
         model = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -0.5), 0.5)))

@@ -30,6 +30,7 @@ from perpsim.models import (
     sign_gap,
     tail_quantile,
 )
+from perpsim import simulate
 from perpsim.scaled import vec_to_real
 from perpsim.simulate import RENORM, _uniforms, run_batch
 from test_simulate import trajectory_uniforms
@@ -152,34 +153,43 @@ class TestSamplePair:
         assert run_batch(model, [40], 1, master_seed=9).to_reals(40)[0] == r
 
 
+# one model of each family and Q law, with ids
+DRAW_FAMILIES = pytest.mark.parametrize(
+    "model",
+    [
+        DiscreteJoint((((1.0, 2.0), 0.3), ((-1.0, 0.5), 0.4), ((2.0, -1.5), 0.3))),
+        CASE_I_ASYM,
+        ScaledRademacher(3.0, 0.4, QConstant(2.0)),
+        CASE_II_ABS,
+        CASE_III_CLT,
+        CASE_III_EVT,
+        CASE_III_BG,
+        CASE_III_BV,
+        SignedUnit(0.6, QLogNormal(0.0, 1.0)),
+    ],
+    ids=["discrete", "rademacher", "rademacher_const", "ii_abs", "iii_clt",
+         "iii_evt", "boundary_growing", "boundary_vanishing", "signed_unit"],
+)
+
+
+def edge_uniforms(B: int = 37, n: int = 16 * RENORM) -> np.ndarray:
+    """(2, n, B) uniforms of Q and M from random words, with the lowest and
+    the clamped top uniform in the first columns, also on slab edges."""
+    words = Philox(key=7).random_raw(2 * n * B).reshape(2, n, B)
+    edges = [0, 1, RENORM - 1, RENORM, n - 1]
+    words[:, edges, :3] = 0
+    words[:, edges, 3:6] = 2**64 - 1
+    return _uniforms(words)
+
+
 class TestDrawsElementwise:
     """The engine draws each sub-block from its own rows of the streams,
     so every family's draws must not depend on the rows drawn with them."""
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            DiscreteJoint((((1.0, 2.0), 0.3), ((-1.0, 0.5), 0.4), ((2.0, -1.5), 0.3))),
-            CASE_I_ASYM,
-            ScaledRademacher(3.0, 0.4, QConstant(2.0)),
-            CASE_II_ABS,
-            CASE_III_CLT,
-            CASE_III_EVT,
-            CASE_III_BG,
-            CASE_III_BV,
-            SignedUnit(0.6, QLogNormal(0.0, 1.0)),
-        ],
-        ids=["discrete", "rademacher", "rademacher_const", "ii_abs", "iii_clt",
-             "iii_evt", "boundary_growing", "boundary_vanishing", "signed_unit"],
-    )
+    @DRAW_FAMILIES
     def test_slabs_concatenate_to_whole(self, model):
-        B, n = 37, 16 * RENORM
-        words = Philox(key=7).random_raw(2 * n * B).reshape(2, n, B)
-        # the lowest and the clamped top uniform, also on slab edges
-        edges = [0, 1, RENORM - 1, RENORM, n - 1]
-        words[:, edges, :3] = 0
-        words[:, edges, 3:6] = 2**64 - 1
-        u = _uniforms(words)
+        n = 16 * RENORM
+        u = edge_uniforms(n=n)
         whole = model.scaled_draws(u[0], u[1])
         rows = sorted({*range(0, n, RENORM), 1, RENORM - 1, RENORM + 1, n - 1, n})
         slabs = [model.scaled_draws(u[0, a:b], u[1, a:b]) for a, b in zip(rows, rows[1:])]
@@ -189,6 +199,41 @@ class TestDrawsElementwise:
                 assert joined.dtype == part.dtype
                 assert joined.tobytes() == part.tobytes()
 
+
+    @DRAW_FAMILIES
+    def test_native_rows_match_native_of_scaled(self, model):
+        # the engine makes native Q * 2**-E and native M from the logs or
+        # values the family wrote, never from ScaledVectors; they must equal
+        # _native of the ScaledVectors of the same draws, bit for bit, at
+        # shifts that flush to 0 or reach inf, each alone (2**-E is a double
+        # up to |E| = 1022) and all in one row
+        u = edge_uniforms()
+        k, B = u.shape[1:]
+        draws = model.scaled_draws(u[0], u[1])
+        if isinstance(getattr(model, "q_law", None), QLogPareto):
+            # u = 2**-54 gives Y = 2**54: a Q far beyond double range
+            assert draws[0].exponent.max() > 2**50
+        shifts = [0, 1000, -1000, 1022, -1022, 1023, -1023, 1100, -1100, 2**40, -(2**40)]
+        for shift in [*shifts, np.resize(np.array(shifts, np.int64), B)]:
+            for d in (draws.q, draws.m):
+                got = simulate._native_rows(d, shift, np.empty((k, B)), np.empty((k, B), np.int64))
+                want = simulate._native(d.scaled(), shift, np.empty((k, B)))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_in_place_draws_equal_fresh_ones(self):
+        # the engine draws over its uniforms (in_place); a caller's are kept
+        for model in [CASE_I_ASYM, CASE_II_ABS, CASE_III_CLT, CASE_IV,
+                      DiscreteJoint((((1.0, 2.0), 0.3), ((2.0, 0.5), 0.7)))]:
+            u = edge_uniforms()
+            kept = u.copy()
+            fresh = model.scaled_draws(u[0], u[1])
+            assert u.tobytes() == kept.tobytes()
+            over = model.scaled_draws(u[0], u[1], in_place=True)
+            for a, b in zip(fresh, over):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+            if model.positive:
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(fresh.logs, over.logs))
 
     @staticmethod
     def where_draws(u, p, value):

@@ -552,15 +552,26 @@ class TestRunBatch:
                 assert abs(batch.w_log(n)[i] - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize(
-        "model,track_w", [(CASE_II, False), (CASE_III_CLT, True)], ids=["ii", "iii_clt"]
+        "model,track_w",
+        [
+            (CASE_II, False),
+            (CASE_III_CLT, True),
+            (LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)), True),
+            (SignedUnit(0.75, QConstant(1.0)), False),
+            (CASE_I_ASYM, False),
+        ],
+        ids=["ii", "iii_clt", "iii_evt", "iv", "case_i"],
     )
     def test_block_memory_is_refill_plus_slabs(self, model, track_w):
-        # uniforms are drawn per step pair right before they are stepped, so
-        # a block's peak is one sub-block's uniforms, one pair's raw words,
-        # the sub-block buffers and a few (RENORM, B) slabs of draws: none
-        # of it grows with the horizon
-        words = 2 * (RENORM + 2) * BLOCK + 4 * BLOCK + (3 * RENORM + 1) * BLOCK
-        budget = 8 * (words + 12 * RENORM * BLOCK)
+        # a block's buffers (the arena) hold one sub-block's raw words, then
+        # its uniforms and draws, and the states (first the draws'
+        # exponents), native Q and native M. Beyond them a block takes O(B):
+        # one step pair's raw words, a few per-trajectory vectors, numpy's
+        # cast buffers and the arrays of the trajectories the screen flags
+        # (III-evt's huge Q); no (RENORM, B) slab, and nothing that grows
+        # with the horizon
+        arena = 2 * (RENORM + 2) + (RENORM + 1) + 2 * RENORM
+        budget = 8 * BLOCK * (arena + 48)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -600,7 +611,7 @@ class TestAdvance:
         # at steps 0 and 10, so each restart lands far below 2**-1023
         E[2], q.exponent[:, 2], m.exponent[[0, 10], 2] = -3000, -2990, 80
         # columns 3 and 4 never flag
-        h, qn = simulate._native_pass(r, E, q, m)
+        h, qn, _ = simulate._native_pass(r, E, q, m)
         flagged = simulate._inexact(h, qn, q, m).any(axis=0)
         assert flagged.tolist() == [True, True, True, False, False]
 
@@ -773,6 +784,18 @@ class TestUniforms:
         ]
         assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
         assert got[1] == 1 - 2**-53
+
+    def test_python_float_formula(self):
+        # each uniform is min((w >> 11) 2**-53 + 2**-54, 1 - 2**-53), its sum
+        # rounded once as Python floats round it, whatever the kernel's own
+        # arithmetic; on the extreme words, the ties k 2**11 + 2**10 and
+        # random words
+        ties = [(k << 11) | j for k in (0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1)
+                for j in (0, 2**10 - 1, 2**10, 2**11 - 1)]
+        words = [0, 2**11 - 1, 2**64 - 2**11, 2**64 - 1, *ties,
+                 *Philox(key=3).random_raw(1000).tolist()]
+        got = simulate._uniforms(np.array(words, np.uint64)).tolist()
+        assert got == [min((w >> 11) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53) for w in words]
 
     def test_top_word_draws_are_finite(self):
         u = simulate._uniforms(np.array([2**64 - 1], np.uint64))

@@ -87,27 +87,26 @@ def test_ks_convergence_rows_are_verify_rows(tmp_path):
     assert got == [[r["n"], r["ks"], r["mean"], r["variance"]] for r in rows]
 
 
-def traced_run(tmp_path, command):
-    """``command`` on a small Case I config, under the span tracer that
-    perfbench/run.py --trace 1 installs: (tracing module, tracer, exit
-    code, output directory). The traced names are restored afterwards."""
+CASE_I_MODEL = {
+    "family": "scaled_rademacher",
+    "rho": 2.0,
+    "p": 0.5,
+    "q": {"family": "rademacher", "p": 0.5},
+}
+
+
+def traced_run(tmp_path, command, model=CASE_I_MODEL, checkpoints=(10, 40)):
+    """``command`` on a small config (Case I unless ``model`` is given),
+    under the span tracer that perfbench/run.py --trace 1 installs:
+    (tracing module, tracer, exit code, output directory). The traced
+    names are restored afterwards."""
     # the tracer wraps package names by attribute, so a rename in the
     # package must fail here and not only in the benchmark
     tracing = load_module(REPO / "perfbench" / "tracing.py")
     targets = [(owner, attr) for owner, attr, _, _ in tracing._targets()]
     targets.append((perpsim.simulate, "_run_block"))
     originals = [getattr(owner, attr) for owner, attr in targets]
-    config = {
-        "model": {
-            "family": "scaled_rademacher",
-            "rho": 2.0,
-            "p": 0.5,
-            "q": {"family": "rademacher", "p": 0.5},
-        },
-        "checkpoints": [10, 40],
-        "samples": 2000,
-        "seed": 17,
-    }
+    config = {"model": model, "checkpoints": list(checkpoints), "samples": 2000, "seed": 17}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -129,6 +128,19 @@ def test_benchmark_trace_hooks_wrap_the_pipeline(tmp_path):
     # one re-keyed Philox per block and no Generator in the kernel
     assert recorded.count("simulate.philox") == 1
     assert recorded.count("simulate.generator") == 0
+    # a log law draws its logs in place too, inside the family's own
+    # scaled_draws: one models.draws span per sub-block, inside the block
+    lognormal = {"family": "lognormal_pair", "mu_x": 0.5, "v2": 1.0,
+                 "q": {"family": "constant", "value": 1.0}}
+    (tmp_path / "lognormal").mkdir()
+    tracing, tracer, code, _ = traced_run(tmp_path / "lognormal", "verify", lognormal, (100, 1000))
+    assert code == 0
+    names = [tracing.SPAN_NAMES[i] for i in tracer.name]
+    block = tracing.NAME_ID["simulate.block"]
+    draws = [i for i, name in enumerate(names) if name == "models.draws"]
+    # per block, steps 1-32, ..., 97-100 | 101-132, ..., 993-1000
+    assert len(draws) == 4 + 29
+    assert all(tracer.name[tracer.parent[i]] == block for i in draws)
 
 
 def test_benchmark_write_spans_cover_every_sample_csv(tmp_path):
