@@ -635,6 +635,29 @@ class TestAdvance:
         assert all(np.array_equal(a, b) for a, b in zip(drawn, (*q, *m)))
 
 
+    def test_screen_rules_each_needed(self):
+        # two trajectories that only one rule of the screen sends to the
+        # scaled steps, each staying nonzero within 2**+-900 otherwise.
+        # Column 0: M = 2**25 builds the state to about 2**512, then
+        # M = 2**-1100, 0 natively, leaves it Q = 2**-600 alone, where the
+        # product is 2**-588: only the rule on M flags it. Column 1: Q = 0
+        # and M = 1.7 * 2**-50 shrink the state into the subnormals, where
+        # its last product rounds: only the states' lower bound flags it
+        k, B = 21, 2
+        q = ScaledVector(np.full((k, B), 1.25), np.zeros((k, B), np.int64))
+        m = ScaledVector(np.full((k, B), 1.5), np.full((k, B), 25, np.int64))
+        q.exponent[-1, 0], m.exponent[-1, 0] = -600, -1100
+        q.mantissa[:, 1], m.mantissa[:, 1], m.exponent[:, 1] = 0.0, 1.7, -50
+        r, E = np.array([1.5, 1.5]), np.zeros(B, np.int64)
+        want = ScaledVector(r, E)
+        for j in range(k):
+            want = vec_add(ScaledVector(q.mantissa[j], q.exponent[j]),
+                           vec_mul(ScaledVector(m.mantissa[j], m.exponent[j]), want))
+        got = simulate._advance(r, E, q, m, simulate._Work(B))
+        assert np.array_equal(got.mantissa, want.mantissa)
+        assert np.array_equal(got.exponent, want.exponent)
+
+
 class TestEnumerateExact:
     def test_fair_sign_r2(self):
         law = enumerate_exact(FAIR_SIGN, 2)
