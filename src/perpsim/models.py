@@ -20,8 +20,9 @@ discard the second). Fixed consumption is what makes trajectory streams
 reproducible and chunkable. ``scaled_draws`` returns the pairs of a slab
 of steps as ``Draws``: each variable as its family made it, the logs Y of
 Q = e^Y or the exact values, and for a positive law the logs of both.
-With ``in_place`` the draws are written over the uniforms, so the engine
-draws into its own buffers; ``reads`` names the uniforms a family reads.
+The draws are written over the uniforms they are made from (a caller that
+keeps its uniforms passes a copy), so the engine draws into its own
+buffers; ``reads`` names the uniforms a family reads.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ def _validate_prob(p: float, name: str) -> None:
         raise InvalidModelError(f"{name} must lie strictly in (0, 1), got {p}")
 
 
-def _signs(u: np.ndarray, p: float, value: float, in_place: bool) -> Drawn:
-    """value where u < p, else -value (value > 0), as exact doubles.
+def _signs(u: np.ndarray, p: float, value: float) -> Drawn:
+    """value where u < p, else -value (value > 0), as exact doubles, over u.
 
     -copysign(value, u - p): u - p is below 0 exactly when u < p, and
     +0.0 when u = p.
     """
-    s = np.subtract(u, p, out=u if in_place else None)
+    s = np.subtract(u, p, out=u)
     np.copysign(value, s, out=s)
     return Drawn(np.negative(s, out=s), "real")
 
@@ -136,19 +137,11 @@ class Draws:
         return (d.scaled() for d in (self.q, self.m))
 
 
-def _own(u: np.ndarray, in_place: bool) -> np.ndarray:
-    """u to write the draws over: u itself, or a copy."""
-    return u if in_place else np.array(u, dtype=np.float64)
-
-
 class _QLaw:
-    """Q marginal: ``draw`` gives the draws of a slab of uniforms and, for
-    Q > 0, their logs."""
+    """Q marginal: ``draw`` gives the draws of a slab of uniforms, written
+    over them, and, for Q > 0, their logs."""
 
     reads = True  # the draws read their uniforms
-
-    def draws(self, u: np.ndarray) -> ScaledVector:
-        return self.draw(u)[0].scaled()
 
 
 class _LogLaw(_QLaw):
@@ -156,8 +149,8 @@ class _LogLaw(_QLaw):
 
     positive = True
 
-    def draw(self, u: np.ndarray, in_place: bool = False):
-        y = self.logs(_own(u, in_place))
+    def draw(self, u: np.ndarray):
+        y = self.logs(u)
         return Drawn(y, "log"), y
 
 
@@ -178,7 +171,7 @@ class QConstant(_QLaw):
 
     reads = False
 
-    def draw(self, u: np.ndarray, in_place: bool = False):
+    def draw(self, u: np.ndarray):
         """The value and ln Q, broadcast to the shape of u; no log for a
         constant <= 0."""
         logs = np.broadcast_to(math.log(self.value), u.shape) if self.positive else None
@@ -201,8 +194,8 @@ class QRademacher(_QLaw):
     def __post_init__(self) -> None:
         _validate_prob(self.p, "Rademacher p")
 
-    def draw(self, u: np.ndarray, in_place: bool = False):
-        return _signs(u, self.p, 1.0, in_place), None
+    def draw(self, u: np.ndarray):
+        return _signs(u, self.p, 1.0), None
 
     def moments(self) -> tuple[float, float]:
         return 2.0 * self.p - 1.0, 1.0
@@ -381,12 +374,11 @@ class DiscreteJoint:
 
     reads = (True, False)
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
         # joint atom chosen by the Q-slot uniform; the M-slot one is unused,
-        # and takes the M values when in place
+        # and takes the M values
         qs, ms, cum = self._tables()
-        q = _own(u_q, in_place)
-        m = u_m if in_place else np.empty(q.shape)
+        q, m = u_q, u_m
         tables = [(qs, q), (ms, m)]
         logs = None
         if self.positive:
@@ -431,9 +423,9 @@ class ScaledRademacher(_IndependentQ):
                 "ScaledRademacher supports Q constant or Rademacher"
             )
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
-        q, _ = self.q_law.draw(u_q, in_place)
-        return Draws(q, _signs(u_m, self.p, self.rho, in_place))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
+        q, _ = self.q_law.draw(u_q)
+        return Draws(q, _signs(u_m, self.p, self.rho))
 
     positive = False
 
@@ -457,11 +449,11 @@ class LogNormalPair(_IndependentQ):
             )
         import scipy.special  # noqa: F401  (see _ndtri)
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
-        x = _ndtri(u_m, out=_own(u_m, in_place))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
+        x = _ndtri(u_m, out=u_m)
         x *= math.sqrt(self.v2)
         x += self.mu_x
-        q, y = self.q_law.draw(u_q, in_place)
+        q, y = self.q_law.draw(u_q)
         return Draws(q, Drawn(x, "log"), None if y is None else (y, x))
 
     @property
@@ -481,9 +473,9 @@ class SignedUnit(_IndependentQ):
         if not isinstance(self.q_law, _FINITE_VAR_QLAWS):
             raise InvalidModelError("SignedUnit requires a finite-variance Q")
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, in_place: bool = False):
-        q, _ = self.q_law.draw(u_q, in_place)
-        return Draws(q, _signs(u_m, self.p_m, 1.0, in_place))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
+        q, _ = self.q_law.draw(u_q)
+        return Draws(q, _signs(u_m, self.p_m, 1.0))
 
     positive = False
 

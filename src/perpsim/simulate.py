@@ -68,7 +68,7 @@ from .errors import (
     InvalidModelError,
     TooLargeError,
 )
-from .models import DiscreteJoint, Draws, Drawn, PairModel, SignedUnit, analytic_moments
+from .models import DiscreteJoint, Drawn, PairModel, SignedUnit, analytic_moments
 from .scaled import (
     EXPONENT_LIMIT,
     ScaledVector,
@@ -211,7 +211,7 @@ _WORK_WORDS = 3 * RENORM + 1
 _RAW_WORDS = 2 * (RENORM + 2)
 _BLOCK_WORDS = _RAW_WORDS + _WORK_WORDS
 
-# the families that draw over the uniforms they are given (``in_place``)
+# the families: they draw over the uniforms they are given and return Draws
 _FAMILIES = get_args(PairModel)
 
 
@@ -457,8 +457,8 @@ def _run_block(
     raw = cells[: _RAW_WORDS * B].reshape(2, RENORM + 2, B)
     u = raw.view(np.float64)
     work = _Work(B, cells[_RAW_WORDS * B : _BLOCK_WORDS * B].view(np.float64))
-    in_place = isinstance(model, _FAMILIES)
-    planes = [s for s, read in enumerate(model.reads if in_place else (True, True)) if read]
+    family = isinstance(model, _FAMILIES)
+    planes = [s for s, read in enumerate(model.reads if family else (True, True)) if read]
 
     t = 0
     next_cp = iter(cps)
@@ -483,11 +483,9 @@ def _run_block(
         try:
             # a family draws over its uniforms; another model gives a pair
             # of ScaledVectors
-            if in_place:
-                draws = model.scaled_draws(u[0, rows], u[1, rows], in_place=True)
-            else:
-                draws = Draws(*(Drawn(v, "scaled") for v in model.scaled_draws(u[0, rows], u[1, rows])))
-            R = _advance(r, E, draws.q, draws.m, work)
+            draws = model.scaled_draws(u[0, rows], u[1, rows])
+            q, m = (draws.q, draws.m) if family else draws
+            R = _advance(r, E, q, m, work)
         except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
             j, i = exc.index
             raise ExponentOverflowError(

@@ -190,7 +190,7 @@ class TestDrawsElementwise:
     def test_slabs_concatenate_to_whole(self, model):
         n = 16 * RENORM
         u = edge_uniforms(n=n)
-        whole = model.scaled_draws(u[0], u[1])
+        whole = model.scaled_draws(*u.copy())
         rows = sorted({*range(0, n, RENORM), 1, RENORM - 1, RENORM + 1, n - 1, n})
         slabs = [model.scaled_draws(u[0, a:b], u[1, a:b]) for a, b in zip(rows, rows[1:])]
         for k, v in enumerate(whole):
@@ -221,20 +221,6 @@ class TestDrawsElementwise:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
-    def test_in_place_draws_equal_fresh_ones(self):
-        # the engine draws over its uniforms (in_place); a caller's are kept
-        for model in [CASE_I_ASYM, CASE_II_ABS, CASE_III_CLT, CASE_IV,
-                      DiscreteJoint((((1.0, 2.0), 0.3), ((2.0, 0.5), 0.7)))]:
-            u = edge_uniforms()
-            kept = u.copy()
-            fresh = model.scaled_draws(u[0], u[1])
-            assert u.tobytes() == kept.tobytes()
-            over = model.scaled_draws(u[0], u[1], in_place=True)
-            for a, b in zip(fresh, over):
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
-            if model.positive:
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(fresh.logs, over.logs))
-
     @staticmethod
     def where_draws(u, p, value):
         """The sign draws as first built: np.where, then frexp with zero
@@ -249,11 +235,15 @@ class TestDrawsElementwise:
         edge = [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0), 2.0**-54, 1.0 - 2.0**-53]
         u = np.concatenate([edge, rng(11).random(43) + 2.0**-54]).reshape(6, 8)
         q_p = 1.0 - p
+
+        def pair(model):  # the draws are written over the uniforms: copies of u
+            return model.scaled_draws(u.copy(), u.copy())
+
         cases = [
-            (QRademacher(p).draws(u), (p, 1.0)),
-            *zip(ScaledRademacher(3.0, p, QRademacher(q_p)).scaled_draws(u, u), [(q_p, 1.0), (p, 3.0)]),
-            *zip(SignedUnit(p, QRademacher(q_p)).scaled_draws(u, u), [(q_p, 1.0), (p, 1.0)]),
-            (ScaledRademacher(1.7976931348623157e308, p, QConstant(1.0)).scaled_draws(u, u)[1],
+            (QRademacher(p).draw(u.copy())[0].scaled(), (p, 1.0)),
+            *zip(pair(ScaledRademacher(3.0, p, QRademacher(q_p))), [(q_p, 1.0), (p, 3.0)]),
+            *zip(pair(SignedUnit(p, QRademacher(q_p))), [(q_p, 1.0), (p, 1.0)]),
+            (pair(ScaledRademacher(1.7976931348623157e308, p, QConstant(1.0)))[1],
              (p, 1.7976931348623157e308)),
         ]
         for got, (prob, value) in cases:
