@@ -13,7 +13,7 @@ and IV), looser flat caps for the sqrt(n)-scale convergences of Cases
 II and III. Override with ``ks_threshold`` in the config.
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input,
-3 unsupported regime.
+3 unsupported regime, 4 run error (a pool worker process died).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     NativeRangeError,
     TooLargeError,
     UnsupportedError,
+    WorkerError,
 )
 from .models import (
     DiscreteJoint,
@@ -69,6 +70,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
+EXIT_RUN_ERROR = 4
 
 _GAMMA_CASES = ("III-evt", "III-boundary-growing")
 
@@ -463,6 +465,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUN_ERROR
 
 
 if __name__ == "__main__":

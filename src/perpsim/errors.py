@@ -51,3 +51,8 @@ class InvalidArgumentsError(PerpsimError, ValueError):
 
 class ConfigError(PerpsimError, ValueError):
     """Configuration document failed strict validation."""
+
+
+class WorkerError(PerpsimError):
+    """A pool worker process died; the message names the trajectory ranges
+    left unfinished."""

@@ -67,9 +67,11 @@ _SQRT_E = math.sqrt(math.e)
 
 
 def _ndtri(u: np.ndarray, out=None) -> np.ndarray:
-    """scipy's normal quantile. Only the lognormal families draw with it,
-    and they import scipy.special when built, not with this module: so a
-    Case I run never loads it, and pool workers forked later inherit it."""
+    """scipy's normal quantile, imported at the first call: only the
+    lognormal families draw with it, so building, checking or classifying
+    a law never loads scipy, nor does a run that draws no normal.
+    ``run_batch`` draws once before it starts a pool, so that its forked
+    workers inherit the import."""
     from scipy.special import ndtri
 
     return ndtri(u, out=out)
@@ -124,7 +126,9 @@ class Draws:
     ``q`` and ``m`` are the ``Drawn`` the family made; the ScaledVectors
     are made from them each time the pair is read. ``logs`` is (ln Q,
     ln M) as the family computed them on the way; None for a law that can
-    draw Q <= 0 or M <= 0. The engine builds W's max term from them.
+    draw Q <= 0 or M <= 0. The engine builds W's max term from them, and
+    asks for them (``scaled_draws(..., logs=True)``) only when it tracks W:
+    a family whose logs take arrays of their own makes them only then.
     """
 
     def __init__(self, q: Drawn, m: Drawn, logs=None) -> None:
@@ -215,7 +219,6 @@ class QLogNormal(_LogLaw):
             raise InvalidModelError("lognormal Q needs var > 0")
         if not math.isfinite(self.mean):
             raise InvalidModelError("lognormal Q mean must be finite")
-        import scipy.special  # noqa: F401  (see _ndtri)
 
     def logs(self, u: np.ndarray) -> np.ndarray:
         """mean + sqrt(var) ndtri(u), over u."""
@@ -374,23 +377,23 @@ class DiscreteJoint:
 
     reads = (True, False)
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, logs: bool = False):
         # joint atom chosen by the Q-slot uniform; the M-slot one is unused,
-        # and takes the M values
+        # and takes the M values. The logs are two fresh (k, B) arrays
         qs, ms, cum = self._tables()
         q, m = u_q, u_m
         tables = [(qs, q), (ms, m)]
-        logs = None
-        if self.positive:
-            logs = (np.empty(q.shape), np.empty(q.shape))
-            tables += [(np.log(qs), logs[0]), (np.log(ms), logs[1])]
+        ln = None
+        if logs and self.positive:
+            ln = (np.empty(q.shape), np.empty(q.shape))
+            tables += [(np.log(qs), ln[0]), (np.log(ms), ln[1])]
         # a row at a time, so the atom indices take O(B) memory
         width = q.shape[-1]
         for j, row in enumerate(q.reshape(-1, width)):
             idx = np.searchsorted(cum, row, side="right")
             for table, out in tables:
                 np.take(table, idx, out=out.reshape(-1, width)[j], mode="clip")
-        return Draws(Drawn(q, "real"), Drawn(m, "real"), logs)
+        return Draws(Drawn(q, "real"), Drawn(m, "real"), ln)
 
     @property
     def positive(self) -> bool:
@@ -447,9 +450,9 @@ class LogNormalPair(_IndependentQ):
             raise InvalidModelError(
                 "LogNormalPair takes a positive or constant Q family"
             )
-        import scipy.special  # noqa: F401  (see _ndtri)
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, logs: bool = False):
+        # the logs are views of the draws, so they come whether asked or not
         x = _ndtri(u_m, out=u_m)
         x *= math.sqrt(self.v2)
         x += self.mu_x

@@ -67,6 +67,7 @@ from .errors import (
     InvalidInputError,
     InvalidModelError,
     TooLargeError,
+    WorkerError,
 )
 from .models import DiscreteJoint, Drawn, PairModel, SignedUnit, analytic_moments
 from .scaled import (
@@ -459,6 +460,8 @@ def _run_block(
     work = _Work(B, cells[_RAW_WORDS * B : _BLOCK_WORDS * B].view(np.float64))
     family = isinstance(model, _FAMILIES)
     planes = [s for s, read in enumerate(model.reads if family else (True, True)) if read]
+    # W's logs are asked for only when W is tracked, so only of a positive law
+    draw_kw = {"logs": True} if track_w else {}
 
     t = 0
     next_cp = iter(cps)
@@ -483,7 +486,7 @@ def _run_block(
         try:
             # a family draws over its uniforms; another model gives a pair
             # of ScaledVectors
-            draws = model.scaled_draws(u[0, rows], u[1, rows])
+            draws = model.scaled_draws(u[0, rows], u[1, rows], **draw_kw)
             q, m = (draws.q, draws.m) if family else draws
             R = _advance(r, E, q, m, work)
         except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
@@ -503,6 +506,10 @@ def _run_block(
             logprod = lp[-1] + ln_m[-1]
             lp += ln_q
             np.maximum(w, lp.max(axis=0), out=w)
+            del ln_q, ln_m
+        # let this sub-block's draws go before the next are made: a discrete
+        # law's logs, or another model's ScaledVectors, are arrays of their own
+        del draws, q, m
         r, E = R
         t += k
         if t == cp:
@@ -568,12 +575,30 @@ def run_batch(
     else:
         # imported here: multiprocessing is a cost only a pool needs
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        # one cell of the law, drawn before the fork: whatever its draws
+        # import (scipy for a normal) is loaded once and inherited, not
+        # imported again in each worker
+        model.scaled_draws(np.full((1, 1), 0.5), np.full((1, 1), 0.5))
         # each process runs one contiguous range of blocks, in order
         ends = [len(args) * i // procs for i in range(procs + 1)]
+        ranges = list(zip(ends, ends[1:]))
+        results, lost = [], []
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            futures = [pool.submit(_run_blocks, args[a:b]) for a, b in zip(ends, ends[1:])]
-            results = [res for f in futures for res in f.result()]
+            futures = [pool.submit(_run_blocks, args[a:b]) for a, b in ranges]
+            for f, (a, b) in zip(futures, ranges):
+                try:
+                    results += f.result()
+                except BrokenProcessPool:
+                    lost.append(f"[{blocks[a][0]}, {blocks[b - 1][1]})")
+        if lost:
+            # a process that dies breaks the pool, so every range still
+            # pending fails with it, the dead process's among them
+            raise WorkerError(
+                "a worker process died (killed, or out of memory); "
+                f"trajectories {', '.join(lost)} were not finished"
+            )
 
     vectors: dict[int, ScaledVector] = {}
     w_logs: dict[int, np.ndarray] | None = {} if track_w else None

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perpsim import cli
+from perpsim import cli, simulate
 from perpsim.cli import main
 from perpsim.config import load_config, parse_config, resolved_dict
 from perpsim.errors import ConfigError
@@ -495,6 +496,31 @@ class TestVerifyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory 0: draw e**") and err.endswith(" at n=1\n")
+
+    def test_dead_worker_exits_four(self, tmp_path, capsys, monkeypatch):
+        # signed_unit draws that end any process but this one, as the
+        # out-of-memory killer would end a pool worker. Two blocks at
+        # workers 2: two processes, each dies at its first draw, and the
+        # broken pool is a run error naming the unfinished trajectories
+        parent, draws = os.getpid(), SignedUnit.scaled_draws
+
+        def dying(self, u_q, u_m):
+            if os.getpid() != parent:
+                os._exit(7)
+            return draws(self, u_q, u_m)
+
+        monkeypatch.setattr(SignedUnit, "scaled_draws", dying)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        B = simulate.BLOCK
+        cfg = json.loads((CONFIGS / "case4.json").read_text())
+        cfg.update(checkpoints=[3], samples=B + 1, workers=2)
+        path = write_config(tmp_path, cfg)
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: a worker process died (killed, or out of memory); "
+            f"trajectories [0, {B}), [{B}, {B + 1}) were not finished\n"
+        )
 
 
 class TestOracleCommand:

@@ -559,8 +559,11 @@ class TestRunBatch:
             (LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0)), True),
             (SignedUnit(0.75, QConstant(1.0)), False),
             (CASE_I_ASYM, False),
+            (DiscreteJoint((((1.0, 2.0), 0.5), ((3.0, 0.25), 0.5))), False),
+            (DiscreteJoint((((1.0, 2.0), 0.5), ((3.0, 0.25), 0.5))), True),
         ],
-        ids=["ii", "iii_clt", "iii_evt", "iv", "case_i"],
+        ids=["ii", "iii_clt", "iii_evt", "iv", "case_i", "discrete_positive",
+             "discrete_positive_w"],
     )
     def test_block_memory_is_refill_plus_slabs(self, model, track_w):
         # a block's buffers (the arena) hold one sub-block's raw words, then
@@ -569,9 +572,11 @@ class TestRunBatch:
         # one step pair's raw words, a few per-trajectory vectors, numpy's
         # cast buffers and the arrays of the trajectories the screen flags
         # (III-evt's huge Q); no (RENORM, B) slab, and nothing that grows
-        # with the horizon
+        # with the horizon. A positive discrete law makes its logs, two
+        # (RENORM, B) arrays of their own, only for W, one sub-block's at a time
         arena = 2 * (RENORM + 2) + (RENORM + 1) + 2 * RENORM
-        budget = 8 * BLOCK * (arena + 48)
+        logs = 2 * RENORM if track_w and isinstance(model, DiscreteJoint) else 0
+        budget = 8 * BLOCK * (arena + logs + 48)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -176,7 +176,7 @@ def test_w_tracking_draws_once_per_sub_block(tmp_path):
 # Runs in a fresh interpreter from the repository root, with an output
 # directory as its argument; prints the findings as one JSON line.
 IMPORTS_SCRIPT = r"""
-import concurrent.futures, json, sys
+import concurrent.futures, glob, json, sys
 from perpsim import simulate
 from perpsim.cli import main
 from perpsim.config import load_config
@@ -194,37 +194,41 @@ case1_modules = [loaded("scipy"), loaded("concurrent.futures.process")]
 
 lognormal = load_config("configs/case2_abs.json").model
 after_load = loaded("scipy.special")
+classified = [(main(["classify", "--config", path, "--out", f"{out}/classify", "--quiet"]),
+               loaded("scipy.special"))
+              for path in sorted(glob.glob("configs/*.json"))]
 
-class InlinePool:
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers):
         pools.append((max_workers, loaded("scipy.special")))
-    def __enter__(self):
-        return self
-    def __exit__(self, *exc):
-        return False
-    def submit(self, fn, args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(args))
-        return future
+        super().__init__(max_workers=max_workers)
 
 pools = []
-concurrent.futures.ProcessPoolExecutor = InlinePool
+concurrent.futures.ProcessPoolExecutor = RecordingPool
 simulate._cpu_count = lambda: 2
-simulate.run_batch(lognormal, [3], simulate.BLOCK + 1, 7, workers=2)
-print(json.dumps([codes, case1_modules, after_load, pools]))
+pooled, inline = (simulate.run_batch(lognormal, [3], simulate.BLOCK + 1, 7, workers=w).vectors(3)
+                  for w in (2, 1))
+same = [a.tobytes() == b.tobytes() for a, b in zip(pooled, inline)]
+print(json.dumps([codes, case1_modules, after_load, classified, pools, same]))
 """
 
 
 def test_case_i_runs_import_no_scipy_and_no_pool(tmp_path):
     # scipy.special and multiprocessing are half of a fresh run's start-up;
-    # Case I needs neither. A lognormal family imports scipy when it is
-    # built, so forked pool workers inherit it and never import it themselves
+    # Case I needs neither, and loading or classifying any bundled config
+    # needs no scipy: a lognormal law imports it at its first draw. A pool
+    # of two real processes runs a lognormal law before this process has
+    # drawn any normal: run_batch draws one cell before the fork, so the
+    # workers inherit scipy.special, and their snapshots equal a
+    # one-process run's
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, str(tmp_path)], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    codes, case1_modules, after_load, pools = json.loads(proc.stdout.splitlines()[-1])
+    codes, case1_modules, after_load, classified, pools, same = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert case1_modules == [False, False]
-    assert after_load
+    assert not after_load
+    assert classified == [[0, False]] * 7
     assert pools == [[2, True]]
+    assert same == [True, True]
