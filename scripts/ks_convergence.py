@@ -40,9 +40,10 @@ def run(args=None) -> int:
         sorted({int(round(n)) for n in np.geomspace(10, n_max, opts.points)})
     )
     regime = classify(analytic_moments(cfg.model), cfg.model)
-    law, _, rows, _ = verification_rows(
+    law, _, pairs = verification_rows(
         dataclasses.replace(cfg, checkpoints=grid), regime
     )
+    rows = [row for row, _ in pairs]
     print(f"case {regime.case}, limit {lim.label(law)}, N={cfg.samples}")
 
     lines = ["n,ks,mean,variance"]

@@ -188,7 +188,15 @@ def cmd_classify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
 
 def verification_rows(cfg: RunConfig, regime: RegimeReport):
     """The simulate -> normalize -> compare loop shared by verify, sample
-    and ``scripts/ks_convergence.py``: (law, series_terms, rows, samples)."""
+    and ``scripts/ks_convergence.py``: (law, series_terms, rows).
+
+    The batch runs before this returns. ``rows`` then yields a (row,
+    samples) pair per checkpoint, in order, each made as it is asked for:
+    the row's KS distance and summary, and the normalized samples they
+    came from. Nothing here keeps a checkpoint's samples once they are
+    yielded, so a caller that lets them go before it asks for the next
+    pair holds one checkpoint's at a time.
+    """
     law = lim.limit_for(regime, cfg.model)
     track_w = regime.case.startswith("III")
     batch = run_batch(
@@ -199,24 +207,27 @@ def verification_rows(cfg: RunConfig, regime: RegimeReport):
         workers=cfg.workers,
         track_w=track_w,
     )
-    use_cdf = lim.has_cdf(law)
     series = cfg.series_terms
     if series is None and isinstance(
         law, (lim.BernoulliConvolution, lim.SymmetrizedPerpetuity)
     ):
         series = lim.default_series_terms(law.lam)
-    ref_gen = Generator(Philox(key=reference_seed(cfg.seed)))
+    return law, series, _checkpoint_rows(cfg, regime, law, series, batch)
 
-    rows = []
-    sample_sets = {}
+
+def _checkpoint_rows(cfg: RunConfig, regime: RegimeReport, law, series, batch):
+    use_cdf = lim.has_cdf(law)
+    ref_gen = Generator(Philox(key=reference_seed(cfg.seed)))
     for n in cfg.checkpoints:
         gamma = tail_quantile(cfg.model, n) if regime.case in _GAMMA_CASES else None
         values = normalize_samples(regime, batch.vectors(n), n, gamma)
         if use_cdf:
             ks = ks_one_sample(values, lambda x: lim.cdf(law, x))
         else:
-            ref = lim.sample_limit(law, ref_gen, series_terms=series, size=cfg.samples)
-            ks = ks_two_sample(values, ref)
+            ks = ks_two_sample(
+                values,
+                lim.sample_limit(law, ref_gen, series_terms=series, size=cfg.samples),
+            )
         stats = summary(values)
         row = {
             "n": n,
@@ -229,9 +240,8 @@ def verification_rows(cfg: RunConfig, regime: RegimeReport):
         w = batch.w_log(n)
         if w is not None:
             row["w_log_mean"] = float(np.mean(w))
-        rows.append(row)
-        sample_sets[n] = values
-    return law, series, rows, sample_sets
+        yield row, values
+        del values  # not held while the next checkpoint's are made
 
 
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
@@ -248,7 +258,11 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             print(f"case {regime.case}: nothing to verify. {regime.note}")
         return EXIT_UNSUPPORTED
 
-    law, series, rows, _ = verification_rows(cfg, regime)
+    law, series, pairs = verification_rows(cfg, regime)
+    rows = []
+    for row, values in pairs:
+        rows.append(row)
+        del values  # gone before the next checkpoint's samples are made
     threshold = cfg.ks_threshold
     threshold_source = "config"
     if threshold is None:
@@ -330,6 +344,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
         exact = exacts[n]
         dev = _discrete_deviation(values, exact)
         stats = summary(values)
+        del values  # gone before the next checkpoint's are made
         passed = passed and dev <= bound
         row = {
             "n": n,
@@ -384,9 +399,12 @@ def cmd_sample(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
             },
         )
         return EXIT_UNSUPPORTED
-    law, series, rows, sample_sets = verification_rows(cfg, regime)
-    for n, values in sample_sets.items():
-        _write_csv(out / f"samples_n{n}.csv", ["value"], [values])
+    law, series, pairs = verification_rows(cfg, regime)
+    rows = []
+    for row, values in pairs:
+        _write_csv(out / f"samples_n{row['n']}.csv", ["value"], [values])
+        rows.append(row)
+        del values  # gone before the next checkpoint's samples are made
     _write_json(
         out / "report.json",
         {
@@ -397,8 +415,8 @@ def cmd_sample(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
         },
     )
     if not quiet:
-        for n in sample_sets:
-            print(f"wrote samples_n{n}.csv ({cfg.samples} values)")
+        for row in rows:
+            print(f"wrote samples_n{row['n']}.csv ({cfg.samples} values)")
     return EXIT_PASS
 
 

@@ -234,6 +234,7 @@ def _atom_indices(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 _CHUNK_CELLS = 2**17  # uniforms per chunk of a series sampler: 1 MiB of float64
+_SIGN_CHUNK = 2**14  # signs r drawn at a time: 128 KiB of uniforms
 _FAIR = np.array([0.5, 0.5])
 _SIGNS = np.array([1.0, -1.0])  # atom 0 is u < 1/2
 
@@ -244,29 +245,36 @@ def _series_rows(rng, size: int, width: int, lam: float, probs, q, s=None) -> np
     Row i of a (size, width) array of uniforms, drawn in row-major order,
     picks atom a_ik of ``probs`` for term k = 0, 1, ...: q[a_ik] * lam**k,
     times s[a_i1] * ... * s[a_ik] when ``s`` is given. The uniforms are
-    drawn a chunk of rows at a time, so memory beyond the output is
-    O(chunk). Each row's terms are added in the order k = 0, 1, ..., one
-    numpy add per term, so a value depends on neither the chunk size nor
-    the BLAS: the order of a matrix product's sums depends on its shape.
+    drawn a chunk of rows at a time, and a chunk's series are built term
+    by term from its atom indices, in one term buffer and one running sign
+    product of a chunk's length, so memory beyond the output is O(chunk).
+    Each row's terms are added in the order k = 0, 1, ..., one numpy add
+    per term, so a value depends on neither the chunk size nor the BLAS:
+    the order of a matrix product's sums depends on its shape.
     """
-    weights = (lam ** np.arange(width))[:, None]
+    weights = lam ** np.arange(width)
     out = np.empty(size)
     rows = max(1, _CHUNK_CELLS // width)
+    term = np.empty(min(rows, size))
+    sign = np.empty_like(term)
     for a in range(0, size, rows):
         u = rng.random((min(rows, size - a), width))
         idx = np.ascontiguousarray(_atom_indices(u, probs).T)  # a series per column
         del u
-        terms = q[idx]
-        if s is not None:
-            signs = s[idx[1:]]
-            for j in range(1, width - 1):
-                signs[j] *= signs[j - 1]
-            terms[1:] *= signs
-        terms *= weights
-        acc = out[a : a + idx.shape[1]]
-        acc[:] = terms[0]
-        for row in terms[1:]:
-            acc += row
+        n = idx.shape[1]
+        acc, t, sgn = out[a : a + n], term[:n], sign[:n]
+        np.take(q, idx[0], out=acc, mode="clip")  # term 0, made in acc
+        acc *= weights[0]
+        sgn.fill(1.0)
+        for k in range(1, width):
+            # the sign products and q times a sign are exact
+            if s is not None:
+                sgn *= np.take(s, idx[k], out=t, mode="clip")
+            np.take(q, idx[k], out=t, mode="clip")
+            if s is not None:
+                t *= sgn
+            t *= weights[k]
+            acc += t
     return out
 
 
@@ -302,7 +310,10 @@ def sample_limit(
         pairs = law.pairs or ((1.0, 1.0, law.p), (1.0, -1.0, 1.0 - law.p))
         q, s, w = (np.array(col) for col in zip(*pairs))
         out = _series_rows(rng, k, m + 1, law.lam, w, q, s)
-        out *= np.where(rng.random(k) < 0.5, 1.0, -1.0)  # the sign r
+        # the sign r, drawn a chunk at a time: the uniforms of one rng.random(k)
+        for a in range(0, k, _SIGN_CHUNK):
+            r = out[a : a + _SIGN_CHUNK]
+            r *= np.where(rng.random(r.size) < 0.5, 1.0, -1.0)
     elif isinstance(law, LogNormalPositive):
         out = np.exp(rng.standard_normal(k))
     elif isinstance(law, LogNormalSymmetric):
@@ -320,15 +331,22 @@ def sample_limit(
     return float(out[0]) if size is None else out
 
 
-def _ndtr(x):
-    """scipy's normal CDF, imported only by the laws whose CDF uses it."""
+def _ndtr():
+    """scipy's normal CDF, a ufunc, imported only by the laws whose CDF uses it."""
     from scipy.special import ndtr
 
-    return ndtr(x)
+    return ndtr
 
 
 def cdf(law: LimitLaw, x):
-    """Closed-form CDF; raises UnavailableError when none exists."""
+    """Closed-form CDF; raises UnavailableError when none exists.
+
+    Each law's CDF is made in place in one fresh array, the output; x is
+    left unchanged. Points outside a law's support start at a value the
+    remaining steps take to the CDF there, so the steps run on the whole
+    array: scipy's ufuncs are not given numpy's ``where`` masks, which
+    corrupt memory in scipy 1.17.
+    """
     if not has_cdf(law):
         raise UnavailableError(
             f"{label(law)} has no closed CDF; compare against sample_limit"
@@ -339,25 +357,42 @@ def cdf(law: LimitLaw, x):
 
     if isinstance(law, BernoulliConvolution):  # lam == 1/2: uniform on [-2c, 2c]
         c = law.scale
-        out = np.clip((arr + 2.0 * c) / (4.0 * c), 0.0, 1.0)
+        out = np.add(arr, 2.0 * c)
+        out /= 4.0 * c
+        np.clip(out, 0.0, 1.0, out=out)
     elif isinstance(law, LogNormalPositive):
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        out[pos] = _ndtr(np.log(arr[pos]))
+        # ln x for x > 0, -inf elsewhere, where Phi is 0
+        out = np.full_like(arr, -np.inf)
+        np.log(arr, out=out, where=arr > 0)
+        _ndtr()(out, out=out)
     elif isinstance(law, LogNormalSymmetric):
-        out = np.full_like(arr, 0.5)
-        nz = arr != 0
-        out[nz] = 0.5 + np.sign(arr[nz]) * 0.5 * _ndtr(np.log(np.abs(arr[nz])))
+        # 0.5 + sgn(x) * 0.5 * Phi(ln|x|); ln 0 = -inf gives 0.5 at x = 0
+        out = np.abs(arr)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        _ndtr()(out, out=out)
+        out *= 0.5
+        np.copysign(out, arr, out=out)
+        out += 0.5
     elif isinstance(law, ExpHalfNormal):
+        # 2 Phi(ln x) - 1 for x >= 1; the zeros elsewhere give 2 Phi(0) - 1 = 0
         out = np.zeros_like(arr)
-        m = arr >= 1.0
-        out[m] = 2.0 * _ndtr(np.log(arr[m])) - 1.0
+        np.log(arr, out=out, where=arr >= 1.0)
+        _ndtr()(out, out=out)
+        out *= 2.0
+        out -= 1.0
     elif isinstance(law, ExpFrechet):
+        # exp(-(ln x)**alpha) for x > 1; the zeros elsewhere go to
+        # exp(-inf) = 0, since alpha < 0
         out = np.zeros_like(arr)
-        m = arr > 1.0
-        out[m] = np.exp(-(np.log(arr[m]) ** law.alpha))
+        np.log(arr, out=out, where=arr > 1.0)
+        with np.errstate(divide="ignore"):
+            out **= law.alpha
+        np.negative(out, out=out)
+        np.exp(out, out=out)
     elif isinstance(law, Gaussian):
-        out = _ndtr(arr / math.sqrt(law.beta2))
+        out = np.divide(arr, math.sqrt(law.beta2))
+        _ndtr()(out, out=out)
     else:
         raise InvalidInputError(f"unknown law {law!r}")
     return float(out[0]) if scalar else out

@@ -17,6 +17,10 @@ n, and a sentinel would pollute sample sets. Results can be inf when a
 normalized value genuinely lands past native float range (the
 exp-Frechet limits have log-scale tails); downstream KS statistics are
 rank-based and unaffected.
+
+Each map makes its result in place in one fresh array, with at most one
+more array of the batch's length while it runs, and leaves the input
+vectors unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentsError, InvalidInputError
+from .errors import InvalidArgumentsError, InvalidInputError, NativeRangeError
 from .models import RegimeReport
 from .scaled import ScaledVector, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 
@@ -72,6 +76,29 @@ def _power_args(regime: RegimeReport, n: int, gamma_n: float | None):
     return divisor, 0.0
 
 
+def _times_power(values: ScaledVector, factor: ScaledVector) -> np.ndarray:
+    """vec_to_real(vec_mul(values, factor)) for a one-element factor, bit
+    for bit: the same operations, in the mantissa array of the product and
+    one more array, first |mantissa| as doubles, then the exponents."""
+    m = np.multiply(values.mantissa, factor.mantissa)
+    e = np.abs(m)
+    carry = e >= 2.0
+    e = e.view(np.int64)
+    np.add(values.exponent, factor.exponent, out=e)
+    np.multiply(m, 0.5, out=m, where=carry)
+    e += carry
+    del carry
+    zero = m == 0.0
+    np.copyto(m, 0.0, where=zero)
+    np.copyto(e, 0, where=zero)
+    del zero
+    if np.any(e > 1023):
+        raise NativeRangeError("batch holds values above native float range")
+    # exponents <= -1100 already round to zero
+    np.maximum(e, -1100, out=e)
+    return np.ldexp(m, e, out=m)
+
+
 def normalize_samples(
     regime: RegimeReport,
     values: ScaledVector,
@@ -81,18 +108,23 @@ def normalize_samples(
     """Normalize a batch of samples of R_n for the given regime."""
     case = regime.case
     if case in ("I-sym", "I-asym"):
-        return vec_to_real(vec_mul(values, _rho_power_factor(regime.rho, n)))
+        return _times_power(values, _rho_power_factor(regime.rho, n))
     if case == "IV":
-        return vec_to_real(values) / math.sqrt(n)
+        out = vec_to_real(values)
+        out /= math.sqrt(n)
+        return out
     if case in _POWER_CASES:
         if case.startswith("III") and np.any(values.mantissa < 0):
             raise InvalidArgumentsError(
                 "Case III normalization requires positive samples"
             )
         divisor, shift = _power_args(regime, n, gamma_n)
+        mag = vec_log_abs(values)
+        mag /= divisor
+        mag -= shift
         with np.errstate(over="ignore"):
-            mag = np.exp(vec_log_abs(values) / divisor - shift)
+            np.exp(mag, out=mag)
         if case == "II-signed":
-            return np.copysign(mag, values.mantissa)
+            np.copysign(mag, values.mantissa, out=mag)
         return mag
     raise InvalidArgumentsError(f"no normalization for regime {case}")

@@ -150,9 +150,12 @@ def vec_add(a: ScaledVector, b: ScaledVector) -> ScaledVector:
 
 
 def vec_log_abs(a: ScaledVector) -> np.ndarray:
-    """ln|a|, -inf for zero."""
+    """ln|a|, -inf for zero; made in its output and one more array."""
+    out = np.multiply(a.exponent, _LN2)
+    m = np.abs(a.mantissa)
     with np.errstate(divide="ignore"):
-        return a.exponent * _LN2 + np.log(np.abs(a.mantissa))
+        out += np.log(m, out=m)
+    return out
 
 
 def vec_to_real(a: ScaledVector) -> np.ndarray:

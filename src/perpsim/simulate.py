@@ -152,7 +152,12 @@ def reference_seed(master_seed: int) -> int:
 
 
 class BatchResult:
-    """Per-checkpoint sample sets from ``run_batch``, as ScaledVectors."""
+    """Per-checkpoint sample sets from ``run_batch``, as ScaledVectors.
+
+    One mantissa and one exponent array of N values per checkpoint, and
+    one W array with ``track_w``: ``run_batch`` allocates each once and
+    copies every block's snapshots into it as the block is done.
+    """
 
     def __init__(
         self,
@@ -527,9 +532,10 @@ def _run_block(
     return snaps, (w_snaps if track_w else None)
 
 
-def _run_blocks(args: list) -> list:
-    """``_run_block`` on each argument tuple, in order, all with one set of
-    buffers made for the largest block.
+def _block_results(args: list):
+    """``_run_block`` on each argument tuple, in order, yielding each
+    result as it is done, all with one set of buffers made for the
+    largest block.
 
     Fresh buffers per block (2.7 MB at ``BLOCK``) would be mmapped and
     faulted in page by page for every block, unless an earlier free of a
@@ -539,7 +545,24 @@ def _run_blocks(args: list) -> list:
     benchmark's tracer) runs once per block, in a pool worker too.
     """
     cells = np.empty(_BLOCK_WORDS * max(hi - lo for _, _, lo, hi, _, _ in args), np.uint64)
-    return [_run_block(*a, cells) for a in args]
+    for a in args:
+        yield _run_block(*a, cells)
+
+
+def _run_blocks(args: list) -> list:
+    """The results of ``_block_results``, as a list: a pool process's job."""
+    return list(_block_results(args))
+
+
+def _store(vectors: dict, w_logs: dict | None, lo: int, hi: int, result) -> None:
+    """Copies the snapshots of block [lo, hi), and its W logs, into the
+    batch's arrays."""
+    snaps, w_snaps = result
+    for n, v in snaps.items():
+        vectors[n].mantissa[lo:hi] = v.mantissa
+        vectors[n].exponent[lo:hi] = v.exponent
+        if w_logs is not None:
+            w_logs[n][lo:hi] = w_snaps[n]
 
 
 def _cpu_count() -> int:
@@ -558,12 +581,23 @@ def run_batch(
     workers: int = 1,
     track_w: bool = False,
 ) -> BatchResult:
-    """N independent trajectories; output independent of worker count."""
+    """N independent trajectories; output independent of worker count.
+
+    The batch holds one array per checkpoint and quantity, allocated once;
+    each block's snapshots are copied in as soon as the block is done, or,
+    with a pool, as soon as the range of blocks it is in comes back. So no
+    block's snapshots are held next to the whole batch's, and memory beyond
+    the batch is one block's.
+    """
     cps = _validate_checkpoints(checkpoints)
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if track_w:
         _require_positive_for_w(model)
+
+    def empty():
+        vectors = {n: ScaledVector(np.empty(count), np.empty(count, np.int64)) for n in cps}
+        return vectors, ({n: np.empty(count) for n in cps} if track_w else None)
 
     blocks = [(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
     args = [(model, cps, lo, hi, master_seed, track_w) for lo, hi in blocks]
@@ -571,7 +605,9 @@ def run_batch(
     # can run: one per CPU, and one per block at most
     procs = min(workers, len(args), _cpu_count())
     if procs <= 1:
-        results = _run_blocks(args)
+        vectors, w_logs = empty()
+        for (lo, hi), result in zip(blocks, _block_results(args)):
+            _store(vectors, w_logs, lo, hi, result)
     else:
         # imported here: multiprocessing is a cost only a pool needs
         from concurrent.futures import ProcessPoolExecutor
@@ -584,14 +620,22 @@ def run_batch(
         # each process runs one contiguous range of blocks, in order
         ends = [len(args) * i // procs for i in range(procs + 1)]
         ranges = list(zip(ends, ends[1:]))
-        results, lost = [], []
+        lost = []
         with ProcessPoolExecutor(max_workers=procs) as pool:
             futures = [pool.submit(_run_blocks, args[a:b]) for a, b in ranges]
-            for f, (a, b) in zip(futures, ranges):
+            # the submits forked the processes: allocated before them, the
+            # batch's pages would count in each child's RSS too
+            vectors, w_logs = empty()
+            for a, b in ranges:
                 try:
-                    results += f.result()
+                    # popped, so no future keeps its range's snapshots
+                    results = futures.pop(0).result()
                 except BrokenProcessPool:
                     lost.append(f"[{blocks[a][0]}, {blocks[b - 1][1]})")
+                    continue
+                for (lo, hi), result in zip(blocks[a:b], results):
+                    _store(vectors, w_logs, lo, hi, result)
+                del results
         if lost:
             # a process that dies breaks the pool, so every range still
             # pending fails with it, the dead process's among them
@@ -599,16 +643,6 @@ def run_batch(
                 "a worker process died (killed, or out of memory); "
                 f"trajectories {', '.join(lost)} were not finished"
             )
-
-    vectors: dict[int, ScaledVector] = {}
-    w_logs: dict[int, np.ndarray] | None = {} if track_w else None
-    for n in cps:
-        vectors[n] = ScaledVector(
-            np.concatenate([snaps[n].mantissa for snaps, _ in results]),
-            np.concatenate([snaps[n].exponent for snaps, _ in results]),
-        )
-        if track_w:
-            w_logs[n] = np.concatenate([ws[n] for _, ws in results])
     return BatchResult(vectors, w_logs)
 
 

@@ -19,34 +19,57 @@ from .errors import InvalidInputError
 __all__ = ["Summary", "ks_one_sample", "ks_two_sample", "dkw_bound", "summary"]
 
 
+_CHUNK = 2**16  # points per pass of the KS loops
+
+
 def _as_sorted(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
+    """A sorted copy of the samples as doubles; the input is left as it is."""
+    arr = np.array(samples, dtype=float)
     if arr.size == 0:
         raise InvalidInputError("empty sample set")
-    return np.sort(arr)
+    arr.sort()
+    return arr
 
 
 def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup_x |ECDF(x) - F(x)| against a reference CDF."""
+    """sup_x |ECDF(x) - F(x)| against a reference CDF.
+
+    Beyond the sorted copy and F at its points, the i / n - F and
+    (i - 1) / n - F terms take one chunk's buffer at a time.
+    """
     xs = _as_sorted(samples)
     n = xs.size
     f = np.asarray(cdf(xs), dtype=float)
     if f.shape != xs.shape:
         raise InvalidInputError("cdf must evaluate elementwise on arrays")
-    i = np.arange(1, n + 1)
-    return float(
-        max(np.abs(i / n - f).max(), np.abs((i - 1) / n - f).max())
-    )
+    del xs
+    above, below = [], []
+    for a in range(0, n, _CHUNK):
+        fc = f[a : a + _CHUNK]
+        i = np.arange(a + 1.0, a + 1.0 + fc.size)  # ranks, exact as doubles
+        d = i / n
+        d -= fc
+        above.append(np.abs(d, out=d).max())
+        i -= 1.0
+        np.divide(i, n, out=d)
+        d -= fc
+        below.append(np.abs(d, out=d).max())
+    return float(max(np.max(above), np.max(below)))
 
 
 def ks_two_sample(a, b) -> float:
-    """sup-norm distance between two ECDFs, evaluated on the pooled points."""
+    """sup-norm distance between two ECDFs, evaluated on the pooled points:
+    those of each sorted copy, a chunk at a time."""
     xa = _as_sorted(a)
     xb = _as_sorted(b)
-    pooled = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, pooled, side="right") / xa.size
-    fb = np.searchsorted(xb, pooled, side="right") / xb.size
-    return float(np.abs(fa - fb).max())
+    gaps = []
+    for points in (xa, xb):
+        for c in range(0, points.size, _CHUNK):
+            x = points[c : c + _CHUNK]
+            fa = np.searchsorted(xa, x, side="right") / xa.size
+            fa -= np.searchsorted(xb, x, side="right") / xb.size
+            gaps.append(np.abs(fa, out=fa).max())
+    return float(np.max(gaps))
 
 
 def dkw_bound(n: int, delta: float) -> float:
@@ -72,7 +95,7 @@ def summary(samples: Sequence[float] | np.ndarray) -> Summary:
 
     Mean and variance are NaN when any sample is not finite; min and max
     ignore NaN. The samples are scaled by a power of two, which is exact,
-    so that no sum overflows.
+    so that no sum overflows; the scaled copy is the one working array.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
@@ -85,6 +108,7 @@ def summary(samples: Sequence[float] | np.ndarray) -> Summary:
     e = math.frexp(max(-lo, hi))[1]
     x = np.ldexp(x, -e)
     mean = x.mean()
-    d = np.square(x - mean)
-    variance = float(np.ldexp(d.sum() / (n - 1), 2 * e)) if n >= 2 else None
+    x -= mean
+    np.square(x, out=x)
+    variance = float(np.ldexp(x.sum() / (n - 1), 2 * e)) if n >= 2 else None
     return Summary(float(np.ldexp(mean, e)), variance, lo, hi, n)

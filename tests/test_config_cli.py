@@ -1,9 +1,11 @@
 """Config validation and CLI commands: exit codes, outputs, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +523,39 @@ class TestVerifyCommand:
             "error: a worker process died (killed, or out of memory); "
             f"trajectories [0, {B}), [{B}, {B + 1}) were not finished\n"
         )
+
+    @pytest.mark.parametrize(
+        "stem,cps,w,two_sample",
+        [
+            ("case1_sym", (10, 40), False, False),
+            ("case1_asym", (20, 60), False, True),
+            ("case2_abs", (10, 40), False, False),
+            ("case3_clt", (10, 40), True, False),
+        ],
+        ids=["case1_sym", "case1_asym", "case2_abs", "case3_clt"],
+    )
+    def test_memory_slope_is_snapshots_plus_four_words(self, tmp_path, stem, cps, w, two_sample):
+        # Per trajectory, verify holds each checkpoint's snapshot (16 B),
+        # and W's (8 B) when it tracks W, and while a checkpoint's row is
+        # made, four more words at most; a two-sample reference adds two
+        # (itself and its sorted copy). A block's and a chunk's buffers do
+        # not grow with N, so they cancel in the slope of the traced peak
+        # from N = 10^5 to 2 * 10^5. Holding all of a run's per-block
+        # snapshots next to their concatenation, and every checkpoint's
+        # normalized samples, it was 88 / 152 / 88 / 104 B
+        cfg = dataclasses.replace(load_config(CONFIGS / f"{stem}.json"), checkpoints=cps)
+        # a first run's imports and one-off allocations are not the run's
+        cli.cmd_verify(dataclasses.replace(cfg, samples=100), tmp_path, quiet=True)
+        peaks = []
+        for n in (100_000, 200_000):
+            tracemalloc.start()
+            try:
+                cli.cmd_verify(dataclasses.replace(cfg, samples=n), tmp_path, quiet=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / 100_000
+        assert slope <= (16 + 8 * w) * len(cps) + 32 + 16 * two_sample
 
 
 class TestOracleCommand:

@@ -424,15 +424,21 @@ class TestSeriesSamplers:
             assert abs(Fraction(float(got[i])) - r_i * sum(exact)) <= bound
 
     def test_memory_is_output_plus_chunk(self):
-        # the (size, m + 1) matrices of the unchunked sampler peaked at 111 MB
-        # here; the output and the sign r take 3.2 MB, a chunk about 3 MB
-        tracemalloc.start()
-        try:
-            lim.sample_limit(lim.SymmetrizedPerpetuity(0.5, 0.7), rng(13), size=200_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        # beyond the 1.6 MB output: a chunk's 1 MiB of uniforms, its atom
+        # indices and a term and a sign buffer of a chunk's rows, 3.1 MB in
+        # all. Holding a chunk's series as (width, rows) matrices of terms
+        # and signs peaked at 5.9 MB (sp) and 4.1 MB (bc); the unchunked
+        # sampler's (size, m + 1) matrices at 111 MB
+        for law in (lim.SymmetrizedPerpetuity(0.5, 0.7), lim.BernoulliConvolution(0.5)):
+            # a first call's one-off allocations are not the sampler's
+            lim.sample_limit(law, rng(13), size=10)
+            tracemalloc.start()
+            try:
+                lim.sample_limit(law, rng(13), size=200_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6e6 + 2e6, law
 
     @pytest.mark.parametrize("law", [LAWS_AT_HALF["bc"], LAWS_AT_HALF["sp"]], ids=["bc", "sp"])
     def test_series_terms_default_only_for_none(self, law):

@@ -1,6 +1,8 @@
 """KS statistics, DKW bounds, summaries."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
+from perpsim import stats
 from perpsim.errors import InvalidInputError
 from perpsim.stats import (
     dkw_bound,
@@ -72,6 +75,67 @@ class TestKsTwoSample:
     @given(sample_lists)
     def test_self_distance_zero(self, a):
         assert ks_two_sample(a, a) == 0.0
+
+
+# quarters in [-1, 1] repeat often, so samples have ties; uniforms add
+# points inside U[0, 1]'s support
+tied_lists = st.lists(
+    st.one_of(
+        st.integers(-4, 4).map(lambda k: k / 4),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def exact_ecdf(sample, x, left=False):
+    """ECDF of the sample at x, or its left limit, as a Fraction."""
+    hits = sum(v < x if left else v <= x for v in sample)
+    return Fraction(hits, len(sample))
+
+
+class TestExactKs:
+    """Both KS functions against the sup of the ECDF differences taken in
+    Fractions, on small samples with ties, split into chunks of a few
+    points, and with their inputs left unchanged."""
+
+    @given(tied_lists, st.integers(1, 5))
+    def test_one_sample_is_exact_sup(self, xs, chunk):
+        arr = np.array(xs)
+        before = arr.tobytes()
+        with mock.patch.object(stats, "_CHUNK", chunk):
+            got = ks_one_sample(arr, uniform_cdf)
+        assert arr.tobytes() == before
+        # F is continuous, so the sup is met at a sample point, from the
+        # right or the left
+        exact = max(
+            abs(exact_ecdf(xs, x, left) - Fraction(min(max(x, 0.0), 1.0)))
+            for x in xs
+            for left in (False, True)
+        )
+        # i / n and the difference round once each, within 2**-53 of values <= 1
+        assert abs(Fraction(got) - exact) <= Fraction(2) ** -52
+        # and as doubles, in that order, they give the result bit for bit
+        n, f = len(xs), sorted(min(max(x, 0.0), 1.0) for x in xs)
+        assert got == max(
+            max(abs((i + 1) / n - fi), abs(i / n - fi)) for i, fi in enumerate(f)
+        )
+
+    @given(tied_lists, tied_lists, st.integers(1, 5))
+    def test_two_sample_is_exact_sup(self, a, b, chunk):
+        arr_a, arr_b = np.array(a), np.array(b)
+        before = arr_a.tobytes(), arr_b.tobytes()
+        with mock.patch.object(stats, "_CHUNK", chunk):
+            got = ks_two_sample(arr_a, arr_b)
+        assert (arr_a.tobytes(), arr_b.tobytes()) == before
+        # both ECDFs are steps at the pooled points, right-continuous
+        exact = max(abs(exact_ecdf(a, x) - exact_ecdf(b, x)) for x in a + b)
+        assert abs(Fraction(got) - exact) <= Fraction(2) ** -52
+        assert got == max(
+            abs(sum(v <= x for v in a) / len(a) - sum(v <= x for v in b) / len(b))
+            for x in a + b
+        )
 
 
 class TestDkwBound:

@@ -83,7 +83,8 @@ def test_ks_convergence_rows_are_verify_rows(tmp_path):
     grid = tuple(int(row[0]) for row in got)
     assert grid == (10, 16, 25, 40)
     regime = classify(analytic_moments(cfg.model), cfg.model)
-    _, _, rows, _ = verification_rows(dataclasses.replace(cfg, checkpoints=grid), regime)
+    _, _, pairs = verification_rows(dataclasses.replace(cfg, checkpoints=grid), regime)
+    rows = [row for row, _ in pairs]
     assert got == [[r["n"], r["ks"], r["mean"], r["variance"]] for r in rows]
 
 
