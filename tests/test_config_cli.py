@@ -776,3 +776,102 @@ class TestBundledConfigs:
             for f in ("manifest.json", "report.json")
         ]
         assert digests == [manifest, report]
+
+
+# sha256 of every file that verify, sample and oracle write for small
+# variants of the bundled configs (N = 1000 and the checkpoints below), at
+# workers 1 and 2: per run, over the files in name order, each file's name
+# and the sha256 of its bytes. The manifest echoes the worker count, so the
+# two runs' digests differ by it alone
+SMALL_CHECKPOINTS = {
+    "case1_sym": [10, 40],
+    "case1_asym": [20, 60],
+    "case2_abs": [10, 100],
+    "case3_clt": [10, 100],
+    "case3_evt": [10, 100],
+    "case4": [10, 100],
+    "oracle_fair_sign": list(range(1, 11)),
+}
+OUTPUT_DIGESTS = {
+    ("case1_sym", "verify"): (
+        "94830c480faa7c25c767003623d141a6493ad90940daa12ddbb2ce1ca3f0b482",
+        "e9e46e3263bce3b8b80eaaeead9e91184d217ee25568ff36c44efbf66d454438",
+    ),
+    ("case1_sym", "sample"): (
+        "03c51a9b86041d169cebbaa510b0947a98672b7bdf702c76059e7b274a9a9de1",
+        "9e6bcf9fd1742eaceef124eef56155688a34114355e33432aa33a7c800e77639",
+    ),
+    ("case1_asym", "verify"): (
+        "bd1f01b2a1b8575a2250db0d0978918400dd1eede83dd4af915eda4dd6fe6009",
+        "81aad71fa701cb350dc8386fe75190f0c1321c62e2b094d7a3574fdf173e5d98",
+    ),
+    ("case1_asym", "sample"): (
+        "6e2fcfa69294a007a0b98acace4385192404e6cbd36410ef4c72c40f93ae62b3",
+        "a34d6d69dca98e939134434f5ada3637b3f6226c12c9ca32d6ea7f9085bf27d0",
+    ),
+    ("case2_abs", "verify"): (
+        "ad141ad2c57241078ee865bf8624652284ba7fb29db7cba4106bf7dbaf40995d",
+        "797974bd60b8f7023c7d4e3f87a312264647ceca6204905b9ee303b852d35088",
+    ),
+    ("case2_abs", "sample"): (
+        "d4259b3e3a77a07c022f8b906c7cdad3ff6cd41015c1b6c34f7b0c7e8c38b19d",
+        "68f548f59292507702e06e11e110979269bac3f030aa733ae362960d42ea5e8d",
+    ),
+    ("case3_clt", "verify"): (
+        "83df3ab754b4fd4ae912a5bc78115932c3e48b59c5ec5b532c3fd6302641065a",
+        "0bb753b3a206462c795cb573540302206c9dcb45834baad65107b333de757acc",
+    ),
+    ("case3_clt", "sample"): (
+        "0e5fdd6b0fe9d678fea68816487fda747f4932af549c1b5ebe083c841b405935",
+        "677cb7c767b761afd9a041f345e99a6d707765dbd1a22038ddc4a0800e1f6fe0",
+    ),
+    ("case3_evt", "verify"): (
+        "1d40923a20072d1fcd6aebb73368a3d520024530d9069e358a8be3febfc745bb",
+        "1439ecd318578ffd0be30307c7fced8d5d4c474201657c4d9fc15ed4abce21ab",
+    ),
+    ("case3_evt", "sample"): (
+        "f23cded2e232d2c3b25929fd44db751501beba4b28c10f8678c984bb08025e73",
+        "154f6a42e6abd8f160341243a7bc802a94d7a451fde4c0edc4a58905a65d90d2",
+    ),
+    ("case4", "verify"): (
+        "f509e18808c9a5e479f39989e7ad47058fcede58d2c4d23d23703e30e0e61c2c",
+        "d30e06d52dcf0e7ae54a1504873f37c43cd0c98feac6eded3a59db983f629a1d",
+    ),
+    ("case4", "sample"): (
+        "73d99fa11fa0dfdefa2a0648144c819cf841e9a7e077e5f8ba567a52d3352c7f",
+        "28300ba2788933d351f024154b9a3bbae2fc44159d1a218a2da308f2139952b9",
+    ),
+    ("oracle_fair_sign", "oracle"): (
+        "3529f2f349c34334c21d847c8ef6ed4a8137065c4eb996349669b387488aacfd",
+        "84da811680dc41bb1e74a79da7838b39bbeccebfcdeb342279fc67bac81382e7",
+    ),
+}
+
+
+def output_digest(out: Path) -> str:
+    h = hashlib.sha256()
+    for f in sorted(out.iterdir()):
+        h.update(f"{f.name}\n{hashlib.sha256(f.read_bytes()).hexdigest()}\n".encode())
+    return h.hexdigest()
+
+
+class TestOutputsPinned:
+    @pytest.mark.parametrize(
+        "stem,command", sorted(OUTPUT_DIGESTS), ids=lambda v: v if isinstance(v, str) else None
+    )
+    def test_outputs_pinned(self, tmp_path, monkeypatch, stem, command):
+        """Every output byte of the commands that run a batch. Blocks of 512
+        trajectories, so that workers 2 runs the pool on two blocks; the
+        output does not depend on the block size."""
+        monkeypatch.setattr(simulate, "BLOCK", 512)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+        cfg.update(samples=1000, checkpoints=SMALL_CHECKPOINTS[stem])
+        path = write_config(tmp_path, cfg)
+        got = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            main([command, "--config", str(path), "--out", str(out),
+                  "--workers", str(workers), "--quiet"])
+            got.append(output_digest(out))
+        assert tuple(got) == OUTPUT_DIGESTS[stem, command]
