@@ -7,6 +7,15 @@ Every command reads one JSON config (see ``perpsim.config``), writes a
 Outputs carry no timestamps, so a fixed config and seed reproduce them
 byte for byte at any worker count.
 
+verify, sample and oracle share one loop (``_rows``): after the batch,
+for each checkpoint n in order, the samples at n, their distance to n's
+reference and their summary, one checkpoint's samples at a time. verify
+and sample take the samples normalized, against the limit law (its CDF,
+or draws of it for a law with none); the oracle takes R_n itself, against
+its exact law at n. Each command keeps only its own part: verify the
+final cap and the monotone gate, sample a CSV per checkpoint, the oracle
+a Bonferroni-split DKW gate at every checkpoint and the exact moments.
+
 Default KS thresholds are engineering choices, labeled as such in the
 report: DKW-derived for the fast-converging exact-law regimes (Cases I
 and IV), looser flat caps for the sqrt(n)-scale convergences of Cases
@@ -55,7 +64,7 @@ from .simulate import (
     reference_seed,
     run_batch,
 )
-from .stats import dkw_bound, ks_one_sample, ks_two_sample, summary
+from .stats import dkw_bound, ks_atoms, ks_one_sample, ks_two_sample, summary
 
 __all__ = [
     "main",
@@ -162,16 +171,17 @@ def default_threshold(regime: RegimeReport, law, n_samples: int) -> float:
     return 0.10  # boundary sub-cases converge slowest
 
 
-def _classified(cfg: RunConfig):
+def _classified(cfg: RunConfig, out: Path, command: str):
+    """The model's moments and regime, with the manifest written and the
+    report's first fields: (moments, regime, report)."""
     moments = analytic_moments(cfg.model)
     regime = classify(moments, cfg.model)
-    return moments, regime
+    _emit_manifest(out, command, cfg)
+    return moments, regime, {"command": command, "regime": _regime_dict(regime, moments)}
 
 
 def cmd_classify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
-    moments, regime = _classified(cfg)
-    _emit_manifest(out, "classify", cfg)
-    report = {"command": "classify", "regime": _regime_dict(regime, moments)}
+    moments, regime, report = _classified(cfg, out, "classify")
     _write_json(out / "report.json", report)
     if not quiet:
         print(f"case: {regime.case}")
@@ -186,57 +196,28 @@ def cmd_classify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     return EXIT_PASS
 
 
-def verification_rows(cfg: RunConfig, regime: RegimeReport):
-    """The simulate -> normalize -> compare loop shared by verify, sample
-    and ``scripts/ks_convergence.py``: (law, series_terms, rows).
+def _rows(cfg: RunConfig, batch, distance, regime: RegimeReport | None):
+    """The loop of every command that runs a batch: a (row, samples) pair
+    per checkpoint n, in order, each made as it is asked for.
 
-    The batch runs before this returns. ``rows`` then yields a (row,
-    samples) pair per checkpoint, in order, each made as it is asked for:
-    the row's KS distance and summary, and the normalized samples they
-    came from. Nothing here keeps a checkpoint's samples once they are
-    yielded, so a caller that lets them go before it asks for the next
-    pair holds one checkpoint's at a time.
+    The samples at n are normalized under ``regime``, or without one (the
+    oracle) ``batch.to_reals(n)``. The row holds ``distance(samples, n)``,
+    their distance to n's reference, as ``ks``, their summary, and the
+    normalization's gamma_n and W's mean where there are any. Nothing
+    here keeps a checkpoint's samples once they are yielded, so a caller
+    that lets them go before it asks for the next pair holds one
+    checkpoint's at a time.
     """
-    law = lim.limit_for(regime, cfg.model)
-    track_w = regime.case.startswith("III")
-    batch = run_batch(
-        cfg.model,
-        cfg.checkpoints,
-        cfg.samples,
-        cfg.seed,
-        workers=cfg.workers,
-        track_w=track_w,
-    )
-    series = cfg.series_terms
-    if series is None and isinstance(
-        law, (lim.BernoulliConvolution, lim.SymmetrizedPerpetuity)
-    ):
-        series = lim.default_series_terms(law.lam)
-    return law, series, _checkpoint_rows(cfg, regime, law, series, batch)
-
-
-def _checkpoint_rows(cfg: RunConfig, regime: RegimeReport, law, series, batch):
-    use_cdf = lim.has_cdf(law)
-    ref_gen = Generator(Philox(key=reference_seed(cfg.seed)))
     for n in cfg.checkpoints:
-        gamma = tail_quantile(cfg.model, n) if regime.case in _GAMMA_CASES else None
-        values = normalize_samples(regime, batch.vectors(n), n, gamma)
-        if use_cdf:
-            ks = ks_one_sample(values, lambda x: lim.cdf(law, x))
+        if regime is None:
+            gamma, values = None, batch.to_reals(n)
         else:
-            ks = ks_two_sample(
-                values,
-                lim.sample_limit(law, ref_gen, series_terms=series, size=cfg.samples),
-            )
+            gamma = tail_quantile(cfg.model, n) if regime.case in _GAMMA_CASES else None
+            values = normalize_samples(regime, batch.vectors(n), n, gamma)
+        ks = distance(values, n)
         stats = summary(values)
-        row = {
-            "n": n,
-            "ks": ks,
-            "mean": stats.mean,
-            "variance": stats.variance,
-            "N": cfg.samples,
-            "gamma_n": gamma,
-        }
+        row = {"n": n, "ks": ks, "mean": stats.mean, "variance": stats.variance,
+               "N": cfg.samples, "gamma_n": gamma}
         w = batch.w_log(n)
         if w is not None:
             row["w_log_mean"] = float(np.mean(w))
@@ -244,53 +225,86 @@ def _checkpoint_rows(cfg: RunConfig, regime: RegimeReport, law, series, batch):
         del values  # not held while the next checkpoint's are made
 
 
-def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
-    moments, regime = _classified(cfg)
-    _emit_manifest(out, "verify", cfg)
-    if regime.case in ("CONVERGENT", "UNSUPPORTED"):
-        report = {
-            "command": "verify",
-            "regime": _regime_dict(regime, moments),
-            "error": "no limit machinery for this regime",
-        }
-        _write_json(out / "report.json", report)
-        if not quiet:
-            print(f"case {regime.case}: nothing to verify. {regime.note}")
-        return EXIT_UNSUPPORTED
-
-    law, series, pairs = verification_rows(cfg, regime)
+def _collect(pairs) -> list[dict]:
+    """The rows of ``_rows``' pairs, each pair's samples let go before the
+    next pair is made."""
     rows = []
     for row, values in pairs:
         rows.append(row)
-        del values  # gone before the next checkpoint's samples are made
-    threshold = cfg.ks_threshold
-    threshold_source = "config"
+        del values
+    return rows
+
+
+def verification_rows(cfg: RunConfig, regime: RegimeReport):
+    """The normalized rows of verify, sample and ``scripts/ks_convergence.py``:
+    (law, series_terms, rows), ``rows`` being ``_rows``' pairs.
+
+    The batch runs before this returns. The reference at every checkpoint
+    is the limit law: its CDF, or for a law with none, as many draws of it
+    as there are samples, from the ``reference_seed`` stream.
+    """
+    law = lim.limit_for(regime, cfg.model)
+    batch = run_batch(cfg.model, cfg.checkpoints, cfg.samples, cfg.seed,
+                      workers=cfg.workers, track_w=regime.case.startswith("III"))
+    series = cfg.series_terms
+    if series is None and isinstance(
+        law, (lim.BernoulliConvolution, lim.SymmetrizedPerpetuity)
+    ):
+        series = lim.default_series_terms(law.lam)
+    if lim.has_cdf(law):
+        def distance(values, n):
+            return ks_one_sample(values, lambda x: lim.cdf(law, x))
+    else:
+        ref_gen = Generator(Philox(key=reference_seed(cfg.seed)))
+
+        def distance(values, n):
+            ref = lim.sample_limit(law, ref_gen, series_terms=series, size=cfg.samples)
+            return ks_two_sample(values, ref)
+    return law, series, _rows(cfg, batch, distance, regime)
+
+
+def _write_checkpoints(out: Path, rows: list[dict]) -> None:
+    header = ["n", "ks", "mean", "variance", "N"]
+    _write_csv(out / "checkpoints.csv", header, [[r[k] for r in rows] for k in header])
+
+
+def _limit_run(cfg: RunConfig, out: Path, command: str, quiet: bool):
+    """What verify and sample share: ``_classified`` and, for a regime with
+    a limit law, ``verification_rows``. Returns (regime, law, series_terms,
+    rows, report), the report holding its first fields; None for a regime
+    without one, whose report.json then says so."""
+    _, regime, report = _classified(cfg, out, command)
+    if regime.case in ("CONVERGENT", "UNSUPPORTED"):
+        what = "limit machinery" if command == "verify" else "normalization"
+        report["error"] = f"no {what} for this regime"
+        _write_json(out / "report.json", report)
+        if not quiet:
+            print(f"case {regime.case}: nothing to {command}. {regime.note}")
+        return None
+    law, series, pairs = verification_rows(cfg, regime)
+    report["limit"] = lim.label(law)
+    return regime, law, series, pairs, report
+
+
+def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
+    run = _limit_run(cfg, out, "verify", quiet)
+    if run is None:
+        return EXIT_UNSUPPORTED
+    regime, law, series, pairs, report = run
+    rows = _collect(pairs)
+    threshold, threshold_source = cfg.ks_threshold, "config"
     if threshold is None:
-        threshold = default_threshold(regime, law, cfg.samples)
-        threshold_source = "default"
+        threshold, threshold_source = default_threshold(regime, law, cfg.samples), "default"
     ks_values = [r["ks"] for r in rows]
-    monotone_ok = all(
-        b <= a + cfg.monotone_slack for a, b in zip(ks_values, ks_values[1:])
-    )
+    monotone_ok = all(b <= a + cfg.monotone_slack for a, b in zip(ks_values, ks_values[1:]))
     final_ok = ks_values[-1] <= threshold
     passed = monotone_ok and final_ok
 
-    header = ["n", "ks", "mean", "variance", "N"]
-    _write_csv(out / "checkpoints.csv", header, [[r[k] for r in rows] for k in header])
-    report = {
-        "command": "verify",
-        "regime": _regime_dict(regime, moments),
-        "limit": lim.label(law),
-        "series_terms": series,
-        "threshold": threshold,
-        "threshold_source": threshold_source,
-        "monotone_slack": cfg.monotone_slack,
-        "checkpoints": _json_rows(rows),
-        "monotone_ok": monotone_ok,
-        "final_ks": ks_values[-1],
-        "final_ok": final_ok,
-        "passed": passed,
-    }
+    _write_checkpoints(out, rows)
+    report.update(series_terms=series, threshold=threshold, threshold_source=threshold_source,
+                  monotone_slack=cfg.monotone_slack, checkpoints=_json_rows(rows),
+                  monotone_ok=monotone_ok, final_ks=ks_values[-1], final_ok=final_ok,
+                  passed=passed)
     _write_json(out / "report.json", report)
     if not quiet:
         for r in rows:
@@ -303,20 +317,22 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _discrete_deviation(values: np.ndarray, exact) -> float:
-    """Two-sided sup |ECDF - F| over the exact atoms."""
-    xs = np.sort(values)
-    n = xs.size
-    atoms = exact.values
-    gaps = np.diff(atoms)
-    eps = float(gaps.min()) / 4.0 if gaps.size else 0.5
-    eps = max(eps, 1e-12)
-    cum = np.cumsum(exact.probs)
-    ecdf_at = np.searchsorted(xs, atoms + eps, side="left") / n
-    ecdf_before = np.searchsorted(xs, atoms - eps, side="left") / n
-    dev_at = np.abs(ecdf_at - cum)
-    dev_before = np.abs(ecdf_before - (cum - exact.probs))
-    return float(max(dev_at.max(), dev_before.max()))
+def cmd_sample(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
+    run = _limit_run(cfg, out, "sample", quiet)
+    if run is None:
+        return EXIT_UNSUPPORTED
+    *_, pairs, report = run
+    rows = []
+    for row, values in pairs:
+        _write_csv(out / f"samples_n{row['n']}.csv", ["value"], [values])
+        rows.append(row)
+        del values  # gone before the next checkpoint's samples are made
+    report["checkpoints"] = _json_rows(rows)
+    _write_json(out / "report.json", report)
+    if not quiet:
+        for row in rows:
+            print(f"wrote samples_n{row['n']}.csv ({cfg.samples} values)")
+    return EXIT_PASS
 
 
 def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
@@ -324,10 +340,15 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     if not isinstance(model, DiscreteJoint):
         raise InvalidModelError("the enumeration oracle needs a discrete_joint model")
     _emit_manifest(out, "oracle", cfg)
+    # the reference at n is R_n's exact law, enumerated (and the guard on
+    # its size met) for every n before the batch runs
     exacts = {n: enumerate_exact(model, n) for n in cfg.checkpoints}
-    batch = run_batch(
-        model, cfg.checkpoints, cfg.samples, cfg.seed, workers=cfg.workers
-    )
+    batch = run_batch(model, cfg.checkpoints, cfg.samples, cfg.seed, workers=cfg.workers)
+
+    def distance(values, n):
+        return ks_atoms(values, exacts[n].values, exacts[n].probs)
+
+    rows = _collect(_rows(cfg, batch, distance, None))
     # one DKW band per checkpoint, Bonferroni-split so the whole run errs
     # on correct code with probability at most 1%
     delta = 0.01 / len(cfg.checkpoints)
@@ -335,89 +356,33 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
     try:
         recursion = {n: exact_moments_recursion(model, n) for n in cfg.checkpoints}
     except DomainError:  # the moment recursion needs |M| = 1 and -1 < EM < 1
-        recursion = None
-
-    rows = []
-    passed = True
-    for n in cfg.checkpoints:
-        values = batch.to_reals(n)
-        exact = exacts[n]
-        dev = _discrete_deviation(values, exact)
-        stats = summary(values)
-        del values  # gone before the next checkpoint's are made
-        passed = passed and dev <= bound
-        row = {
-            "n": n,
-            "deviation": dev,
-            "dkw_bound": bound,
-            "delta": delta,
-            "mc_mean": stats.mean,
-            "mc_variance": stats.variance,
-            "exact_mean": exact.mean(),
-            "exact_variance": exact.variance(),
-            "N": cfg.samples,
-        }
-        if recursion is not None:
-            rec_mean, rec_var = recursion[n]
-            row["recursion_mean"] = rec_mean
-            row["recursion_variance"] = rec_var
-            row["recursion_vs_enumeration"] = max(
-                abs(rec_mean - exact.mean()), abs(rec_var - exact.variance())
+        recursion = {}
+    gated = []
+    for row in rows:
+        n, exact = row["n"], exacts[row["n"]]
+        e_mean, e_var = exact.mean(), exact.variance()
+        gated.append({
+            "n": n, "deviation": row["ks"], "dkw_bound": bound, "delta": delta,
+            "mc_mean": row["mean"], "mc_variance": row["variance"],
+            "exact_mean": e_mean, "exact_variance": e_var, "N": cfg.samples,
+        })
+        if n in recursion:
+            r_mean, r_var = recursion[n]
+            gated[-1].update(
+                recursion_mean=r_mean, recursion_variance=r_var,
+                recursion_vs_enumeration=max(abs(r_mean - e_mean), abs(r_var - e_var)),
             )
-        rows.append(row)
         if not quiet:
-            print(f"n={n}: deviation={dev:.5f} (dkw {bound:.5f})")
+            print(f"n={n}: deviation={row['ks']:.5f} (dkw {bound:.5f})")
+    passed = all(r["ks"] <= bound for r in rows)
 
-    _write_csv(
-        out / "checkpoints.csv",
-        ["n", "ks", "mean", "variance", "N"],
-        [[r[k] for r in rows] for k in ("n", "deviation", "mc_mean", "mc_variance", "N")],
-    )
-    report = {
-        "command": "oracle",
-        "dkw_bound": bound,
-        "delta": delta,
-        "checkpoints": rows,
-        "passed": passed,
-    }
+    _write_checkpoints(out, rows)
+    report = {"command": "oracle", "dkw_bound": bound, "delta": delta,
+              "checkpoints": gated, "passed": passed}
     _write_json(out / "report.json", report)
     if not quiet:
         print("PASS" if passed else "FAIL")
     return EXIT_PASS if passed else EXIT_FAIL
-
-
-def cmd_sample(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
-    moments, regime = _classified(cfg)
-    _emit_manifest(out, "sample", cfg)
-    if regime.case in ("CONVERGENT", "UNSUPPORTED"):
-        _write_json(
-            out / "report.json",
-            {
-                "command": "sample",
-                "regime": _regime_dict(regime, moments),
-                "error": "no normalization for this regime",
-            },
-        )
-        return EXIT_UNSUPPORTED
-    law, series, pairs = verification_rows(cfg, regime)
-    rows = []
-    for row, values in pairs:
-        _write_csv(out / f"samples_n{row['n']}.csv", ["value"], [values])
-        rows.append(row)
-        del values  # gone before the next checkpoint's samples are made
-    _write_json(
-        out / "report.json",
-        {
-            "command": "sample",
-            "regime": _regime_dict(regime, moments),
-            "limit": lim.label(law),
-            "checkpoints": _json_rows(rows),
-        },
-    )
-    if not quiet:
-        for row in rows:
-            print(f"wrote samples_n{row['n']}.csv ({cfg.samples} values)")
-    return EXIT_PASS
 
 
 _COMMANDS = {

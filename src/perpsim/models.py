@@ -97,11 +97,12 @@ class Drawn(NamedTuple):
     """One variable's draws over a slab of steps, as its family made them.
 
     ``kind`` "log": ``data`` holds the logs Y of the draws e^Y; "real": the
-    draws themselves, exact doubles; "scaled": a ScaledVector (from a model
-    outside these families). A law that draws the same value at every
-    step gives it broadcast, its rows of stride 0. ``scaled`` makes the
-    ScaledVectors, of the given columns only, by the functions of
-    ``perpsim.scaled`` that the engine's native form is made by too.
+    draws themselves, exact doubles; "scaled": a ScaledVector (the engine's
+    own, for the steps it takes in scaled arithmetic). A law that draws the
+    same value at every step gives it broadcast, its rows of stride 0.
+    ``scaled`` makes the ScaledVectors, of the given columns only, by the
+    functions of ``perpsim.scaled`` that the engine's native form is made
+    by too.
     """
 
     data: object
@@ -121,10 +122,9 @@ class Drawn(NamedTuple):
 
 
 class Draws:
-    """The (q, m) draws of a slab of steps, unpacked as two ScaledVectors.
+    """The (q, m) draws of a slab of steps.
 
-    ``q`` and ``m`` are the ``Drawn`` the family made; the ScaledVectors
-    are made from them each time the pair is read. ``logs`` is (ln Q,
+    ``q`` and ``m`` are the ``Drawn`` the family made. ``logs`` is (ln Q,
     ln M) as the family computed them on the way; None for a law that can
     draw Q <= 0 or M <= 0. The engine builds W's max term from them, and
     asks for them (``scaled_draws(..., logs=True)``) only when it tracks W:
@@ -133,12 +133,6 @@ class Draws:
 
     def __init__(self, q: Drawn, m: Drawn, logs=None) -> None:
         self.q, self.m, self.logs = q, m, logs
-
-    def __getitem__(self, i) -> ScaledVector:
-        return (self.q, self.m)[i].scaled()
-
-    def __iter__(self):
-        return (d.scaled() for d in (self.q, self.m))
 
 
 class _QLaw:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import get_args
 
 import numpy as np
 # Generator is unused here but stays a module name: perfbench/tracing.py
@@ -216,9 +215,6 @@ class _Work:
 _WORK_WORDS = 3 * RENORM + 1
 _RAW_WORDS = 2 * (RENORM + 2)
 _BLOCK_WORDS = _RAW_WORDS + _WORK_WORDS
-
-# the families: they draw over the uniforms they are given and return Draws
-_FAMILIES = get_args(PairModel)
 
 
 def _native(v: ScaledVector, shift, out: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
@@ -463,8 +459,7 @@ def _run_block(
     raw = cells[: _RAW_WORDS * B].reshape(2, RENORM + 2, B)
     u = raw.view(np.float64)
     work = _Work(B, cells[_RAW_WORDS * B : _BLOCK_WORDS * B].view(np.float64))
-    family = isinstance(model, _FAMILIES)
-    planes = [s for s, read in enumerate(model.reads if family else (True, True)) if read]
+    planes = [s for s, read in enumerate(model.reads) if read]
     # W's logs are asked for only when W is tracked, so only of a positive law
     draw_kw = {"logs": True} if track_w else {}
 
@@ -489,11 +484,8 @@ def _run_block(
             _uniforms(raw[s, : 2 * (p1 - p0)])
         rows = slice(t % 2, t % 2 + k)  # after an odd checkpoint, from the second step of pair p0
         try:
-            # a family draws over its uniforms; another model gives a pair
-            # of ScaledVectors
             draws = model.scaled_draws(u[0, rows], u[1, rows], **draw_kw)
-            q, m = (draws.q, draws.m) if family else draws
-            R = _advance(r, E, q, m, work)
+            R = _advance(r, E, draws.q, draws.m, work)
         except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
             j, i = exc.index
             raise ExponentOverflowError(
@@ -513,8 +505,8 @@ def _run_block(
             np.maximum(w, lp.max(axis=0), out=w)
             del ln_q, ln_m
         # let this sub-block's draws go before the next are made: a discrete
-        # law's logs, or another model's ScaledVectors, are arrays of their own
-        del draws, q, m
+        # law's logs are arrays of their own
+        del draws
         r, E = R
         t += k
         if t == cp:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["Summary", "ks_one_sample", "ks_two_sample", "dkw_bound", "summary"]
+__all__ = ["Summary", "ks_one_sample", "ks_two_sample", "ks_atoms", "dkw_bound", "summary"]
 
 
 _CHUNK = 2**16  # points per pass of the KS loops
@@ -70,6 +70,27 @@ def ks_two_sample(a, b) -> float:
             fa -= np.searchsorted(xb, x, side="right") / xb.size
             gaps.append(np.abs(fa, out=fa).max())
     return float(np.max(gaps))
+
+
+def ks_atoms(samples, atoms: np.ndarray, probs: np.ndarray) -> float:
+    """sup |ECDF - F| against a law F on the sorted ``atoms``, of
+    probabilities ``probs``, for samples on the atoms.
+
+    The ECDF is read a quarter of the smallest atom gap (0.5 for a single
+    atom, and 1e-12 at least) to each side of every atom, so a sample that
+    lies off its atom by less than that counts as on it.
+    """
+    xs = np.sort(samples)
+    n = xs.size
+    gaps = np.diff(atoms)
+    eps = float(gaps.min()) / 4.0 if gaps.size else 0.5
+    eps = max(eps, 1e-12)
+    cum = np.cumsum(probs)
+    ecdf_at = np.searchsorted(xs, atoms + eps, side="left") / n
+    ecdf_before = np.searchsorted(xs, atoms - eps, side="left") / n
+    dev_at = np.abs(ecdf_at - cum)
+    dev_before = np.abs(ecdf_before - (cum - probs))
+    return float(max(dev_at.max(), dev_before.max()))
 
 
 def dkw_bound(n: int, delta: float) -> float:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,15 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+CASE_I_ASYM = {
+    "family": "scaled_rademacher",
+    "rho": 2.0,
+    "p": 0.7,
+    "q": {"family": "rademacher", "p": 0.7},
+}
+FAIR_SIGN = {"family": "discrete_joint", "atoms": [[1.0, 1.0, 0.5], [1.0, -1.0, 0.5]]}
 
 
 LOGNORMAL_PAIR = {
@@ -853,6 +863,34 @@ def output_digest(out: Path) -> str:
     for f in sorted(out.iterdir()):
         h.update(f"{f.name}\n{hashlib.sha256(f.read_bytes()).hexdigest()}\n".encode())
     return h.hexdigest()
+
+
+class TestOneCheckpointAtATime:
+    @pytest.mark.parametrize(
+        "command,model",
+        [("verify", None), ("verify", CASE_I_ASYM), ("sample", None), ("oracle", FAIR_SIGN)],
+        ids=["verify", "verify_two_sample", "sample", "oracle"],
+    )
+    def test_earlier_samples_are_gone(self, tmp_path, monkeypatch, command, model):
+        """A checkpoint's samples, normalized or the oracle's R_n, are made
+        only once no earlier checkpoint's samples are held, by the loop or
+        by its caller. The I-asym law takes a two-sample reference."""
+        owner, name = (simulate.BatchResult, "to_reals") if command == "oracle" else (cli, "normalize_samples")
+        real, made = getattr(owner, name), []
+
+        def make_samples(*args):
+            assert all(ref() is None for ref in made), "an earlier checkpoint's samples are held"
+            values = real(*args)
+            made.append(weakref.ref(values))
+            return values
+
+        monkeypatch.setattr(owner, name, make_samples)
+        cfg = base_config(samples=200, checkpoints=[5, 10, 15])
+        if model is not None:
+            cfg["model"] = model
+        path = write_config(tmp_path, cfg)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code in (0, 1) and len(made) == 3
 
 
 class TestOutputsPinned:

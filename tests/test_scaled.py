@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perpsim.errors import ExponentOverflowError, InvalidInputError, NativeRangeError
-from perpsim.models import DiscreteJoint, LogNormalPair, QLogPareto, analytic_moments, classify
+from perpsim.models import DiscreteJoint, LogNormalPair, QConstant, QLogPareto, analytic_moments, classify
 from perpsim.normalize import _rho_power_factor, normalize_samples
 from perpsim.scaled import (
     ScaledVector,
@@ -146,18 +146,13 @@ class TestMul:
 
     def test_exponent_overflow(self):
         # vec_mul itself does not check; the engine refuses a checkpoint
-        # whose exponent passes 2**62 and names the trajectory and n
-        class HugeM:
-            positive = True
-
-            def scaled_draws(self, u_q, u_m):
-                ones = np.ones(u_q.shape)
-                q = ScaledVector(ones, np.zeros(u_q.shape, np.int64))
-                m = ScaledVector(ones, np.full(u_m.shape, 2**61))
-                return q, m
-
-        with pytest.raises(ExponentOverflowError, match=r"trajectory 0: .* at n=4"):
-            run_batch(HugeM(), [4], 1, master_seed=1)
+        # whose exponent passes 2**62 and names the trajectory and n. M =
+        # e**X with X near 1.3e18 adds about 1.9e18 to the exponent a step,
+        # so R_3 = Q + M_3 (Q + M_2) stays within 2**62 and R_4 does not
+        model = LogNormalPair(1.3e18, 1.0, QConstant(1.0))
+        run_batch(model, [3], 1, master_seed=1)
+        with pytest.raises(ExponentOverflowError, match=r"trajectory 0: exponent \d+ beyond \+/-2\*\*62 at n=4$"):
+            run_batch(model, [4], 1, master_seed=1)
 
     @given(st.lists(st.tuples(offset_pairs, offset_pairs), min_size=1, max_size=30), base_exponents)
     def test_sign_algebra_exact(self, pairs, base):

@@ -828,7 +828,8 @@ class TestUniforms:
     def test_top_word_draws_are_finite(self):
         u = simulate._uniforms(np.array([2**64 - 1], np.uint64))
         model = LogNormalPair(0.0, 1.0, QLogNormal(0.0, 1.0))
-        for v in model.scaled_draws(u, u.copy()):
+        draws = model.scaled_draws(u, u.copy())
+        for v in (draws.q.scaled(), draws.m.scaled()):
             assert np.isfinite(v.mantissa).all()
             assert (np.abs(v.exponent) < 2**62).all()
 

@@ -14,6 +14,7 @@ from perpsim import stats
 from perpsim.errors import InvalidInputError
 from perpsim.stats import (
     dkw_bound,
+    ks_atoms,
     ks_one_sample,
     ks_two_sample,
     summary,
@@ -95,10 +96,27 @@ def exact_ecdf(sample, x, left=False):
     return Fraction(hits, len(sample))
 
 
+@st.composite
+def atom_laws(draw):
+    """(atoms, probs, samples): one to five sorted atoms, spaced a multiple
+    of a step of 1.5e-12 (enumerate_exact merges atoms within 1e-12), 0.25
+    or 1e6 apart, with probabilities; samples on the atoms, with ties, and
+    on every atom at least once when the last flag is drawn."""
+    step = draw(st.sampled_from([1.5e-12, 0.25, 1e6]))
+    ks = sorted(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(ks), max_size=len(ks)))
+    picks = draw(st.lists(st.integers(0, len(ks) - 1), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        picks += range(len(ks))
+    atoms = [k * step for k in ks]
+    return atoms, [w / sum(weights) for w in weights], [atoms[i] for i in picks]
+
+
 class TestExactKs:
-    """Both KS functions against the sup of the ECDF differences taken in
-    Fractions, on small samples with ties, split into chunks of a few
-    points, and with their inputs left unchanged."""
+    """The KS functions against the sup of the ECDF differences taken in
+    Fractions, on small samples with ties, with their inputs left
+    unchanged; the loops that go a chunk at a time split into chunks of a
+    few points."""
 
     @given(tied_lists, st.integers(1, 5))
     def test_one_sample_is_exact_sup(self, xs, chunk):
@@ -121,6 +139,23 @@ class TestExactKs:
         assert got == max(
             max(abs((i + 1) / n - fi), abs(i / n - fi)) for i, fi in enumerate(f)
         )
+
+    @given(atom_laws())
+    def test_atoms_is_exact_sup(self, law):
+        atoms, probs, xs = law
+        arr = np.array(xs)
+        before = arr.tobytes()
+        got = ks_atoms(arr, np.array(atoms), np.array(probs))
+        assert arr.tobytes() == before
+        # the ECDF and F are both steps at the atoms, right-continuous and 0
+        # left of the first: the sup is met at an atom
+        exact = max(
+            abs(exact_ecdf(xs, a) - sum(Fraction(p) for p in probs[: j + 1]))
+            for j, a in enumerate(atoms)
+        )
+        # F's cumulative sums, their differences with p, i / n and the
+        # differences with F round, within 2**-53 of values <= 1 each time
+        assert abs(Fraction(got) - exact) <= (len(atoms) + 3) * Fraction(2) ** -53
 
     @given(tied_lists, tied_lists, st.integers(1, 5))
     def test_two_sample_is_exact_sup(self, a, b, chunk):
