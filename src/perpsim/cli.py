@@ -22,7 +22,8 @@ and IV), looser flat caps for the sqrt(n)-scale convergences of Cases
 II and III. Override with ``ks_threshold`` in the config.
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input,
-3 unsupported regime, 4 run error (a pool worker process died).
+3 unsupported regime, 4 run error (a pool worker process died, or
+raised an exception not perpsim's own).
 """
 
 from __future__ import annotations

@@ -54,5 +54,6 @@ class ConfigError(PerpsimError, ValueError):
 
 
 class WorkerError(PerpsimError):
-    """A pool worker process died; the message names the trajectory ranges
-    left unfinished."""
+    """A pool worker process died, or raised an exception not perpsim's
+    own; the message names the cause and the trajectory ranges left
+    unfinished."""

@@ -21,8 +21,8 @@ stepped; the words of a uniform the law never reads (a constant Q's) are
 neither copied nor converted. A trajectory's stream depends on neither N
 nor its block, and every step, screen and fallback acts on each
 trajectory alone. So output is bit-identical for any split into blocks
-(``BLOCK`` trajectories each) and any ``workers`` setting; results are
-gathered in trajectory order.
+(``BLOCK`` trajectories each) and any ``workers`` setting: each block's
+snapshots go to its own trajectories' places in the batch.
 
 The recursion runs in native doubles for a whole block of trajectories
 at once. Each trajectory keeps R = r * 2**E, a float64 r and an int64
@@ -65,6 +65,7 @@ from .errors import (
     InvalidArgumentsError,
     InvalidInputError,
     InvalidModelError,
+    PerpsimError,
     TooLargeError,
     WorkerError,
 )
@@ -154,8 +155,9 @@ class BatchResult:
     """Per-checkpoint sample sets from ``run_batch``, as ScaledVectors.
 
     One mantissa and one exponent array of N values per checkpoint, and
-    one W array with ``track_w``: ``run_batch`` allocates each once and
-    copies every block's snapshots into it as the block is done.
+    one W array with ``track_w``: ``run_batch`` allocates each once (with
+    a pool, as views of one shared mapping) and copies every block's
+    snapshots into it as the block is done.
     """
 
     def __init__(
@@ -524,10 +526,11 @@ def _run_block(
     return snaps, (w_snaps if track_w else None)
 
 
-def _block_results(args: list):
-    """``_run_block`` on each argument tuple, in order, yielding each
-    result as it is done, all with one set of buffers made for the
-    largest block.
+def _fill(args: list, batch: BatchResult | None = None) -> None:
+    """``_run_block`` on each argument tuple, in order, all with one set of
+    buffers made for the largest block; each block's snapshots, and its W
+    logs, are copied into ``batch`` as soon as the block is done. A pool
+    process, sent only ``args``, fills the batch ``_share`` gave it.
 
     Fresh buffers per block (2.7 MB at ``BLOCK``) would be mmapped and
     faulted in page by page for every block, unless an earlier free of a
@@ -536,25 +539,27 @@ def _block_results(args: list):
     module name at each call, so a wrapper put in its place (the
     benchmark's tracer) runs once per block, in a pool worker too.
     """
+    batch = _shared if batch is None else batch
     cells = np.empty(_BLOCK_WORDS * max(hi - lo for _, _, lo, hi, _, _ in args), np.uint64)
     for a in args:
-        yield _run_block(*a, cells)
+        snaps, w_snaps = _run_block(*a, cells)
+        lo, hi = a[2], a[3]
+        for n, v in snaps.items():
+            out = batch.vectors(n)
+            out.mantissa[lo:hi] = v.mantissa
+            out.exponent[lo:hi] = v.exponent
+            if w_snaps is not None:
+                batch.w_log(n)[lo:hi] = w_snaps[n]
 
 
-def _run_blocks(args: list) -> list:
-    """The results of ``_block_results``, as a list: a pool process's job."""
-    return list(_block_results(args))
+# the batch a pool process fills, set in it by the pool's initializer
+_shared: BatchResult | None = None
 
 
-def _store(vectors: dict, w_logs: dict | None, lo: int, hi: int, result) -> None:
-    """Copies the snapshots of block [lo, hi), and its W logs, into the
-    batch's arrays."""
-    snaps, w_snaps = result
-    for n, v in snaps.items():
-        vectors[n].mantissa[lo:hi] = v.mantissa
-        vectors[n].exponent[lo:hi] = v.exponent
-        if w_logs is not None:
-            w_logs[n][lo:hi] = w_snaps[n]
+def _share(batch: BatchResult) -> None:
+    """A pool process's initializer: the batch its ``_fill`` calls fill."""
+    global _shared
+    _shared = batch
 
 
 def _cpu_count() -> int:
@@ -576,10 +581,11 @@ def run_batch(
     """N independent trajectories; output independent of worker count.
 
     The batch holds one array per checkpoint and quantity, allocated once;
-    each block's snapshots are copied in as soon as the block is done, or,
-    with a pool, as soon as the range of blocks it is in comes back. So no
-    block's snapshots are held next to the whole batch's, and memory beyond
-    the batch is one block's.
+    each block's snapshots are copied in as soon as the block is done, by
+    the process that ran it. So no block's snapshots are held next to the
+    whole batch's, and memory beyond the batch is one block's per process.
+    With a pool, the arrays are views of one anonymous shared mapping made
+    before the fork, and the parent reads them once every process is done.
     """
     cps = _validate_checkpoints(checkpoints)
     if count < 1:
@@ -587,55 +593,61 @@ def run_batch(
     if track_w:
         _require_positive_for_w(model)
 
-    def empty():
-        vectors = {n: ScaledVector(np.empty(count), np.empty(count, np.int64)) for n in cps}
-        return vectors, ({n: np.empty(count) for n in cps} if track_w else None)
-
     blocks = [(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
     args = [(model, cps, lo, hi, master_seed, track_w) for lo, hi in blocks]
     # the executor starts all its processes at once, so start no more than
     # can run: one per CPU, and one per block at most
     procs = min(workers, len(args), _cpu_count())
     if procs <= 1:
-        vectors, w_logs = empty()
-        for (lo, hi), result in zip(blocks, _block_results(args)):
-            _store(vectors, w_logs, lo, hi, result)
-    else:
-        # imported here: multiprocessing is a cost only a pool needs
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        # an array per checkpoint and quantity: freed, one array of the
+        # whole batch, mmapped by glibc, would raise its dynamic mmap
+        # threshold, and later runs' arrays below the new threshold would
+        # grow the heap (2.4 MB of RSS over rounds of Case II-IV verifies)
+        batch = BatchResult({n: ScaledVector(np.empty(count), np.empty(count, np.int64)) for n in cps},
+                            {n: np.empty(count) for n in cps} if track_w else None)
+        _fill(args, batch)
+        return batch
+    # imported here: a pool's modules are a cost only a pool needs
+    import mmap
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
 
-        # one cell of the law, drawn before the fork: whatever its draws
-        # import (scipy for a normal) is loaded once and inherited, not
-        # imported again in each worker
-        model.scaled_draws(np.full((1, 1), 0.5), np.full((1, 1), 0.5))
-        # each process runs one contiguous range of blocks, in order
-        ends = [len(args) * i // procs for i in range(procs + 1)]
-        ranges = list(zip(ends, ends[1:]))
-        lost = []
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            futures = [pool.submit(_run_blocks, args[a:b]) for a, b in ranges]
-            # the submits forked the processes: allocated before them, the
-            # batch's pages would count in each child's RSS too
-            vectors, w_logs = empty()
-            for a, b in ranges:
-                try:
-                    # popped, so no future keeps its range's snapshots
-                    results = futures.pop(0).result()
-                except BrokenProcessPool:
-                    lost.append(f"[{blocks[a][0]}, {blocks[b - 1][1]})")
-                    continue
-                for (lo, hi), result in zip(blocks[a:b], results):
-                    _store(vectors, w_logs, lo, hi, result)
-                del results
-        if lost:
-            # a process that dies breaks the pool, so every range still
-            # pending fails with it, the dead process's among them
-            raise WorkerError(
-                "a worker process died (killed, or out of memory); "
-                f"trajectories {', '.join(lost)} were not finished"
-            )
-    return BatchResult(vectors, w_logs)
+    # the batch in one anonymous shared mapping. Nothing writes it before
+    # the fork, so no process counts its pages in its RSS before it touches
+    # them. A forked process inherits it, and the initializer's arguments,
+    # unpickled: under another start method each would get a copy
+    shape = (len(cps), 3 if track_w else 2, count)
+    planes = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+    batch = BatchResult({n: ScaledVector(p[0], p[1].view(np.int64)) for n, p in zip(cps, planes)},
+                        {n: p[2] for n, p in zip(cps, planes)} if track_w else None)
+    # one cell of the law, drawn before the fork: whatever its draws
+    # import (scipy for a normal) is loaded once and inherited, not
+    # imported again in each worker
+    model.scaled_draws(np.full((1, 1), 0.5), np.full((1, 1), 0.5))
+    # each process runs one contiguous range of blocks, in order
+    ends = [len(args) * i // procs for i in range(procs + 1)]
+    ranges = list(zip(ends, ends[1:]))
+    lost, causes = [], {}
+    with ProcessPoolExecutor(procs, mp_context=get_context("fork"),
+                             initializer=_share, initargs=(batch,)) as pool:
+        futures = [pool.submit(_fill, args[a:b]) for a, b in ranges]
+        for (a, b), future in zip(ranges, futures):
+            try:
+                future.result()
+                continue
+            except BrokenProcessPool:
+                # a process that dies breaks the pool, so every range still
+                # pending fails with it, the dead process's among them
+                causes["a worker process died (killed, or out of memory)"] = None
+            except PerpsimError:  # the run's own: its message and exit code stand
+                raise
+            except Exception as exc:  # MemoryError, say: the run failed, not the law
+                causes[f"a worker process raised {type(exc).__name__}"] = None
+            lost.append(f"[{blocks[a][0]}, {blocks[b - 1][1]})")
+    if lost:
+        raise WorkerError(f"{'; '.join(causes)}; trajectories {', '.join(lost)} were not finished")
+    return batch
 
 
 # ---------------------------------------------------------------------------

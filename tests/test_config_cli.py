@@ -15,7 +15,7 @@ import pytest
 from perpsim import cli, simulate
 from perpsim.cli import main
 from perpsim.config import load_config, parse_config, resolved_dict
-from perpsim.errors import ConfigError
+from perpsim.errors import ConfigError, InvalidInputError
 from perpsim.models import ScaledRademacher, SignedUnit
 from perpsim.stats import dkw_bound
 
@@ -533,6 +533,38 @@ class TestVerifyCommand:
             "error: a worker process died (killed, or out of memory); "
             f"trajectories [0, {B}), [{B}, {B + 1}) were not finished\n"
         )
+
+    @pytest.mark.parametrize(
+        "error,code,message",
+        [
+            (MemoryError, 4, "a worker process raised MemoryError; "
+             "trajectories [0, {B}), [{B}, {B1}) were not finished"),
+            (InvalidInputError("no draw at all"), 2, "no draw at all"),
+        ],
+        ids=["memory_error", "perpsim_error"],
+    )
+    def test_raising_worker_exit_code(self, tmp_path, capsys, monkeypatch, error, code, message):
+        # signed_unit draws that raise in any process but this one. An
+        # exception of no perpsim kind, such as MemoryError, is a run error
+        # like a dead worker's, naming the unfinished trajectories and the
+        # exception's type: not exit 1, which is a failed verification.
+        # perpsim's own errors keep their message and exit code
+        parent, draws = os.getpid(), SignedUnit.scaled_draws
+
+        def failing(self, u_q, u_m):
+            if os.getpid() != parent:
+                raise error
+            return draws(self, u_q, u_m)
+
+        monkeypatch.setattr(SignedUnit, "scaled_draws", failing)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        B = simulate.BLOCK
+        cfg = json.loads((CONFIGS / "case4.json").read_text())
+        cfg.update(checkpoints=[3], samples=B + 1, workers=2)
+        path = write_config(tmp_path, cfg)
+        got = main(["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert got == code
+        assert capsys.readouterr().err == f"error: {message.format(B=B, B1=B + 1)}\n"
 
     @pytest.mark.parametrize(
         "stem,cps,w,two_sample",

@@ -410,8 +410,9 @@ class TestRunBatch:
         pools = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 self.max_workers, self.ranges = max_workers, []
+                initializer(*initargs)
                 pools.append(self)
 
             def __enter__(self):
@@ -427,6 +428,7 @@ class TestRunBatch:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate, "_shared", None)
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(simulate, "BLOCK", 100)
         model = ScaledRademacher(2.0, 0.5, QRademacher(0.5))
@@ -472,21 +474,27 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("model", [CASE_I_ASYM, CASE_III_CLT], ids=["i_asym", "iii_clt"])
     def test_blocks_sharing_buffers_match_lone_blocks(self, model):
-        # _run_blocks gives every block views of one set of buffers, made for
-        # its largest block: a block after a longer one, or before one, must
+        # _fill gives every block views of one set of buffers, made for its
+        # largest block: a block after a longer one, or before one, must
         # read none of the other's words
         cps, seed = (1, 31, 33, 70), 29
         args = [
             (model, cps, lo, hi, seed, model.positive)
             for lo, hi in ((0, 300), (300, 1000), (1000, 1037))
         ]
-        for (snaps, w), a in zip(simulate._run_blocks(args), args):
+        batch = simulate.BatchResult(
+            {n: ScaledVector(np.full(1037, np.nan), np.zeros(1037, np.int64)) for n in cps},
+            {n: np.full(1037, np.nan) for n in cps} if model.positive else None,
+        )
+        simulate._fill(args, batch)
+        for a in args:
             lone, lone_w = simulate._run_block(*a)
+            lo, hi = a[2], a[3]
             for n in cps:
-                assert snaps[n].mantissa.tobytes() == lone[n].mantissa.tobytes()
-                assert snaps[n].exponent.tobytes() == lone[n].exponent.tobytes()
+                assert batch.vectors(n).mantissa[lo:hi].tobytes() == lone[n].mantissa.tobytes()
+                assert batch.vectors(n).exponent[lo:hi].tobytes() == lone[n].exponent.tobytes()
                 if model.positive:
-                    assert w[n].tobytes() == lone_w[n].tobytes()
+                    assert batch.w_log(n)[lo:hi].tobytes() == lone_w[n].tobytes()
 
     def test_r2_law(self):
         batch = run_batch(FAIR_SIGN, [2], 100_000, master_seed=2024)
@@ -586,6 +594,26 @@ class TestRunBatch:
         finally:
             tracemalloc.stop()
         assert peak <= budget
+
+    def test_pool_parent_memory_is_the_batch(self, monkeypatch):
+        # at workers 2 each process stores its blocks' snapshots in the
+        # shared batch itself, so the parent's traced peak grows with N by
+        # no more than the batch's 32 B per trajectory (two checkpoints of
+        # 16 B) that one process would hold. While each range's snapshots
+        # came back pickled, it grew by 67 B. The shared mapping is not
+        # traced, so this bounds what the parent allocates beside it
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        cfg = load_config(CONFIGS / "case1_sym.json")
+        run_batch(cfg.model, (10, 40), 2 * BLOCK, cfg.seed, workers=2)
+        peaks = []
+        for count in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                run_batch(cfg.model, (10, 40), count, cfg.seed, workers=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 200_000 <= 32
 
     def test_samples_accessor(self):
         batch = run_batch(FAIR_SIGN, [3], 8, master_seed=1)

@@ -174,6 +174,15 @@ def test_w_tracking_draws_once_per_sub_block(tmp_path):
     assert names.count("models.draws") == 2 * 6
 
 
+def run_script(script, *args):
+    """``python -c script *args`` in a fresh interpreter, from the
+    repository root, with this checkout's sources first on the path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
 # Runs in a fresh interpreter from the repository root, with an output
 # directory as its argument; prints the findings as one JSON line.
 IMPORTS_SCRIPT = r"""
@@ -191,7 +200,7 @@ json.dump(cfg, open(case1, "w"))
 codes = [main([cmd, "--config", path, "--out", f"{out}/{cmd}", "--quiet"])
          for cmd, path in [("classify", case1), ("verify", case1), ("sample", case1),
                            ("oracle", "configs/oracle_fair_sign.json")]]
-case1_modules = [loaded("scipy"), loaded("concurrent.futures.process")]
+case1_modules = [loaded("scipy"), loaded("concurrent.futures.process"), loaded("mmap")]
 
 lognormal = load_config("configs/case2_abs.json").model
 after_load = loaded("scipy.special")
@@ -200,9 +209,9 @@ classified = [(main(["classify", "--config", path, "--out", f"{out}/classify", "
               for path in sorted(glob.glob("configs/*.json"))]
 
 class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         pools.append((max_workers, loaded("scipy.special")))
-        super().__init__(max_workers=max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
 
 pools = []
 concurrent.futures.ProcessPoolExecutor = RecordingPool
@@ -222,14 +231,81 @@ def test_case_i_runs_import_no_scipy_and_no_pool(tmp_path):
     # drawn any normal: run_batch draws one cell before the fork, so the
     # workers inherit scipy.special, and their snapshots equal a
     # one-process run's
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, str(tmp_path)], cwd=REPO, env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    proc = run_script(IMPORTS_SCRIPT, str(tmp_path))
     codes, case1_modules, after_load, classified, pools, same = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
-    assert case1_modules == [False, False]
+    assert case1_modules == [False, False, False]
     assert not after_load
     assert classified == [[0, False]] * 7
     assert pools == [[2, True]]
     assert same == [True, True]
+
+
+# Runs a two-block batch on a pool of two real processes that return, that
+# raise MemoryError, or that die; prints, as one JSON line, this process's
+# anonymous shared mappings (their size and resident kB) when each pool is
+# made, and per run its outcome (whether the pooled snapshots equal a
+# one-process run's, or the error), the mappings once the snapshots are
+# read and those left once the batch is gone.
+SHARED_BLOCK_SCRIPT = r"""
+import concurrent.futures, gc, json, os, re
+from perpsim import simulate
+from perpsim.errors import WorkerError
+from perpsim.models import QConstant, SignedUnit
+
+def shared():
+    smaps = open("/proc/self/smaps").read()
+    return [[int(re.search(r"\n" + key + r": +(\d+) kB", m).group(1)) for key in ("Size", "Rss")]
+            for m in re.split(r"\n(?=[0-9a-f]+-[0-9a-f]+ )", smaps)
+            if m.split("\n", 1)[0].endswith(" /dev/zero (deleted)")]
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers, **kwargs):
+        at_fork.append(shared())
+        super().__init__(max_workers=max_workers, **kwargs)
+
+parent, draws = os.getpid(), SignedUnit.scaled_draws
+
+def draw(self, u_q, u_m):
+    if os.getpid() != parent and worker == "raises":
+        raise MemoryError
+    if os.getpid() != parent and worker == "dies":
+        os._exit(7)
+    return draws(self, u_q, u_m)
+
+SignedUnit.scaled_draws = draw
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+simulate._cpu_count = lambda: 2
+at_fork, runs = [], []
+model = SignedUnit(0.75, QConstant(1.0))
+inline = simulate.run_batch(model, [3], simulate.BLOCK + 1, 7).vectors(3)
+for worker in ("returns", "raises", "dies"):
+    try:
+        batch = simulate.run_batch(model, [3], simulate.BLOCK + 1, 7, workers=2)
+        pooled = batch.vectors(3)
+        same = [a.tobytes() == b.tobytes() for a, b in zip(pooled, inline)]
+        outcome, alive = same, shared()
+        del batch, pooled
+    except WorkerError:
+        outcome, alive = "WorkerError", None
+    gc.collect()
+    runs.append([outcome, alive, shared()])
+print(json.dumps([at_fork, runs]))
+"""
+
+
+def test_shared_block_is_released_on_every_exit_path():
+    # the pool's batch is one anonymous shared mapping, made before the fork
+    # and resident nowhere until a process touches it: this process has no
+    # page of it when the pool is made, and all of them once it reads the
+    # snapshots. It lives as long as the batch and goes with it, or with the
+    # error when a worker raises or dies; it has no name to leave behind,
+    # and nothing is written to stderr
+    proc = run_script(SHARED_BLOCK_SCRIPT)
+    at_fork, runs = json.loads(proc.stdout.splitlines()[-1])
+    size = -(-8 * 2 * (perpsim.simulate.BLOCK + 1) // 4096) * 4
+    assert at_fork == [[[size, 0]]] * 3
+    assert [outcome for outcome, _, _ in runs] == [[True, True], "WorkerError", "WorkerError"]
+    assert runs[0][1] == [[size, size]]
+    assert [left for _, _, left in runs] == [[], [], []]
+    assert proc.stderr == ""
