@@ -6,8 +6,10 @@ Usage: python scripts/ks_convergence.py --config configs/case2_abs.json \
 
 Emits a plot-ready CSV (n, ks, mean, variance) and prints the sweep.
 The rows come from the same loop as ``perpsim verify`` run on the grid,
-so one batch run covers every checkpoint and the sweep costs no more
-than a single verify at the largest n.
+against the same reference (the limit's CDF, or for a Case I series law
+the upper bound against its bracket), so one batch run covers every
+checkpoint and the sweep costs no more than a single verify at the
+largest n.
 """
 
 import argparse
@@ -40,9 +42,7 @@ def run(args=None) -> int:
         sorted({int(round(n)) for n in np.geomspace(10, n_max, opts.points)})
     )
     regime = classify(analytic_moments(cfg.model), cfg.model)
-    law, _, pairs = verification_rows(
-        dataclasses.replace(cfg, checkpoints=grid), regime
-    )
+    law, pairs = verification_rows(dataclasses.replace(cfg, checkpoints=grid), regime)
     rows = [row for row, _ in pairs]
     print(f"case {regime.case}, limit {lim.label(law)}, N={cfg.samples}")
 

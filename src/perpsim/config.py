@@ -14,7 +14,6 @@ Schema (JSON object)::
       "samples": int,              required, Monte Carlo sample count N
       "seed": int,                 required, 64-bit master seed
       "workers": int,              default 1
-      "series_terms": int | null,  default null (auto from 1e-9 target)
       "ks_threshold": float|null,  default null (regime-dependent default)
       "monotone_slack": float      default max(0.01, DKW radius at N, delta 0.01)
     }
@@ -74,7 +73,6 @@ class RunConfig:
     seed: int
     monotone_slack: float
     workers: int = 1
-    series_terms: int | None = None
     ks_threshold: float | None = None
 
 
@@ -182,7 +180,7 @@ def parse_config(obj: dict) -> RunConfig:
         obj,
         "config",
         {"model", "checkpoints", "samples", "seed"},
-        {"workers", "series_terms", "ks_threshold", "monotone_slack"},
+        {"workers", "ks_threshold", "monotone_slack"},
     )
     model = _parse_family(obj["model"], _PAIR_FAMILIES, "model")
     raw_cps = obj["checkpoints"]
@@ -200,11 +198,6 @@ def parse_config(obj: dict) -> RunConfig:
     workers = _integer(obj.get("workers", 1), "workers")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    series_terms = obj.get("series_terms")
-    if series_terms is not None:
-        series_terms = _integer(series_terms, "series_terms")
-        if series_terms < 1:
-            raise ConfigError("series_terms must be >= 1")
     ks_threshold = obj.get("ks_threshold")
     if ks_threshold is not None:
         ks_threshold = _number(ks_threshold, "ks_threshold")
@@ -223,7 +216,6 @@ def parse_config(obj: dict) -> RunConfig:
         samples=samples,
         seed=seed,
         workers=workers,
-        series_terms=series_terms,
         ks_threshold=ks_threshold,
         monotone_slack=slack,
     )
@@ -264,7 +256,6 @@ def resolved_dict(cfg: RunConfig) -> dict:
         "samples": cfg.samples,
         "seed": cfg.seed,
         "workers": cfg.workers,
-        "series_terms": cfg.series_terms,
         "ks_threshold": cfg.ks_threshold,
         "monotone_slack": cfg.monotone_slack,
     }

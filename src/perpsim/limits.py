@@ -1,12 +1,10 @@
-"""Reference limit laws: samplers for all of them, CDFs where closed forms exist.
+"""Reference limit laws: CDFs, closed where they exist and bracketed where not.
 
 The renormalized recursion converges to one of:
 
 * BernoulliConvolution(lam, scale): scale times the sum of
   lam**(k-1) * eps_k over k >= 1 with i.i.d. fair signs eps. Uniform on
-  [-2 scale, 2 scale] at lam = 1/2; singular for lam < 1/2; no usable
-  closed CDF away from 1/2, so verification there falls back to
-  two-sample comparison against the truncated-series sampler.
+  [-2 scale, 2 scale] at lam = 1/2; singular for lam < 1/2.
 * SymmetrizedPerpetuity(lam, p, pairs): r * X with r an independent fair
   sign and X = sum over k >= 1 of lam**(k-1) * Q_k * prod_{2<=j<=k} eps_j,
   where (Q_k, eps_k) are i.i.d. draws of (Q, sgn M) from the atoms
@@ -25,9 +23,11 @@ independent of eps).
   that.
 * Gaussian(beta2).
 
-Series samplers truncate at m terms with error at most
-max|Q| * lam**m / (1 - lam), so m is chosen to push lam**m / (1 - lam)
-below 1e-9, well under every statistical tolerance in the test battery.
+``cdf`` gives the closed CDFs: every law but the series laws with no
+closed form, the SymmetrizedPerpetuity and the BernoulliConvolution at
+lam != 1/2. ``bracket`` gives each of those two CDFs F_K(x -/+ eps) below
+and above it, from the exact law of its truncated series on a grid (see
+``Bracket``), with eps sized to the number of samples it is tested with.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnavailableError, UnsupportedError
 from .models import DiscreteJoint, PairModel, QConstant, RegimeReport, ScaledRademacher
+from .stats import dkw_bound
 
 __all__ = [
     "BernoulliConvolution",
@@ -50,17 +51,14 @@ __all__ = [
     "ExpFrechet",
     "Gaussian",
     "LimitLaw",
+    "Bracket",
     "label",
-    "has_cdf",
     "case_one_law",
     "limit_for",
+    "bracket",
     "sample_limit",
     "cdf",
-    "bc_truncation_bound",
-    "default_series_terms",
 ]
-
-_SERIES_TARGET = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,12 +147,6 @@ def label(law: LimitLaw) -> str:
     return type(law).__name__
 
 
-def has_cdf(law: LimitLaw) -> bool:
-    if isinstance(law, BernoulliConvolution):
-        return law.lam == 0.5
-    return not isinstance(law, SymmetrizedPerpetuity)
-
-
 def _sign_pairs(model: PairModel) -> tuple[tuple[float, float, float], ...]:
     """Joint law of (Q, sgn M) as sorted (q, s, prob) atoms (Case I families)."""
     if isinstance(model, ScaledRademacher):
@@ -212,70 +204,101 @@ def limit_for(regime: RegimeReport, model: PairModel) -> LimitLaw:
     raise UnsupportedError(f"no limit law for regime {case}")
 
 
-def bc_truncation_bound(lam: float, m: int) -> float:
-    """Worst-case truncation error of the m-term series: lam**m / (1-lam)."""
-    return lam**m / (1.0 - lam)
+_GRID_CAP = 2**20  # points of a binned bracket's grid: 8 MiB of doubles
 
 
-def default_series_terms(lam: float, target: float = _SERIES_TARGET) -> int:
-    """Smallest m with bc_truncation_bound(lam, m) < target."""
-    m = max(1, math.ceil(math.log(target * (1.0 - lam)) / math.log(lam)))
-    while bc_truncation_bound(lam, m) >= target:
-        m += 1
-    return m
+def _bracketed(law: LimitLaw) -> bool:
+    """Whether the law is a Case I series law with no closed CDF."""
+    if isinstance(law, BernoulliConvolution):
+        return law.lam != 0.5
+    return isinstance(law, SymmetrizedPerpetuity)
 
 
-def _atom_indices(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Index of the atom each uniform picks, in the smallest integer dtype."""
-    idx = np.zeros(u.shape, np.min_scalar_type(len(probs)))
-    for c in np.cumsum(probs)[:-1]:
-        idx += u >= c
-    return idx
-
-
-_CHUNK_CELLS = 2**17  # uniforms per chunk of a series sampler: 1 MiB of float64
-_SIGN_CHUNK = 2**14  # signs r drawn at a time: 128 KiB of uniforms
-_FAIR = np.array([0.5, 0.5])
-_SIGNS = np.array([1.0, -1.0])  # atom 0 is u < 1/2
-
-
-def _series_rows(rng, size: int, width: int, lam: float, probs, q, s=None) -> np.ndarray:
-    """``size`` values of a series with ``width`` terms, one per row of uniforms.
-
-    Row i of a (size, width) array of uniforms, drawn in row-major order,
-    picks atom a_ik of ``probs`` for term k = 0, 1, ...: q[a_ik] * lam**k,
-    times s[a_i1] * ... * s[a_ik] when ``s`` is given. The uniforms are
-    drawn a chunk of rows at a time, and a chunk's series are built term
-    by term from its atom indices, in one term buffer and one running sign
-    product of a chunk's length, so memory beyond the output is O(chunk).
-    Each row's terms are added in the order k = 0, 1, ..., one numpy add
-    per term, so a value depends on neither the chunk size nor the BLAS:
-    the order of a matrix product's sums depends on its shape.
-    """
-    weights = lam ** np.arange(width)
-    out = np.empty(size)
-    rows = max(1, _CHUNK_CELLS // width)
-    term = np.empty(min(rows, size))
-    sign = np.empty_like(term)
-    for a in range(0, size, rows):
-        u = rng.random((min(rows, size - a), width))
-        idx = np.ascontiguousarray(_atom_indices(u, probs).T)  # a series per column
-        del u
-        n = idx.shape[1]
-        acc, t, sgn = out[a : a + n], term[:n], sign[:n]
-        np.take(q, idx[0], out=acc, mode="clip")  # term 0, made in acc
-        acc *= weights[0]
-        sgn.fill(1.0)
-        for k in range(1, width):
-            # the sign products and q times a sign are exact
-            if s is not None:
-                sgn *= np.take(s, idx[k], out=t, mode="clip")
-            np.take(q, idx[k], out=t, mode="clip")
-            if s is not None:
-                t *= sgn
-            t *= weights[k]
-            acc += t
+def _push(p: np.ndarray, atoms, lam: float, step: float, mid: int) -> np.ndarray:
+    """The law of s (q + lam Z) on the grid, for Z of law ``p`` and (q, s)
+    drawn from the (q, s, prob) ``atoms``: grid point i is (i - mid) * step,
+    and each image goes to its nearest grid point."""
+    nz = np.flatnonzero(p)
+    z = nz - float(mid)
+    z *= lam
+    mass = p[nz]
+    out = np.zeros_like(p)
+    for q, s, w in atoms:
+        y = z + q / step
+        y *= s
+        j = np.rint(y, out=y).astype(np.intp)
+        j += mid
+        out += np.bincount(j, weights=mass * w, minlength=p.size)
     return out
+
+
+class Bracket:
+    """CDFs ``lower`` <= F <= ``upper`` of a Case I series law F.
+
+    X = r (q_0 + lam U) and U = s (q + lam U') in law, for a fair sign r,
+    q_0 of Q's law and (q, s) of the (Q, sgn M) law. X_K takes U_K, made
+    from U_0 = 0 in K = ``terms`` such steps, so |X - X_K| <= lam**(K+1)
+    max|q| / (1 - lam). Each step's image goes to the nearest point of a
+    grid of step h, which moves X_K by h / (2 (1 - lam)) at most; eps
+    adds twice that, or nothing on a lattice that holds every image (lam =
+    1/2 and integer q). F_K, the law of X_K, has sorted atoms a_j with
+    F_K(a_j) = cum[j + 1], and lower(x) = F_K(x - eps), upper(x) =
+    F_K(x + eps). Both read x against the atoms shifted by eps, which are
+    all that is kept of them: exact on a lattice, and off it rounded
+    within the spare half of the grid's share.
+    ``width`` is the widest gap, sup_x upper(x) - lower(x).
+    """
+
+    def __init__(self, atoms: np.ndarray, cum: np.ndarray, eps: float, terms: int):
+        self.cum, self.eps, self.terms = cum, eps, terms
+        self._up, self._down = atoms + eps, atoms - eps
+        self.width = float((cum[1:] - self.lower(self._down)).max())  # upper(atoms - eps)
+
+    def lower(self, x) -> np.ndarray:
+        return self.cum[np.searchsorted(self._up, x, side="right")]
+
+    def upper(self, x) -> np.ndarray:
+        return self.cum[np.searchsorted(self._down, x, side="right")]
+
+
+def bracket(law: LimitLaw, samples: int) -> Bracket | None:
+    """The bracketed CDF of a Case I law with no closed CDF (None for any
+    other law), for a KS test of ``samples`` points: K and the grid keep
+    eps within 1 % of DKW(samples, 0.01) max|q|."""
+    if not _bracketed(law):
+        return None
+    lam = law.lam
+    if isinstance(law, BernoulliConvolution):  # q_0 + lam U, U = q + lam U'
+        pairs = ((-law.scale, 1.0, 0.5), (law.scale, 1.0, 0.5))
+    else:
+        pairs = law.pairs or ((1.0, 1.0, law.p), (1.0, -1.0, 1.0 - law.p))
+    q_max = max(abs(q) for q, _, _ in pairs)
+    target = dkw_bound(samples, 0.01) * q_max / 100.0
+    lattice = lam == 0.5 and all(float(q).is_integer() for q, _, _ in pairs)
+    share = target if lattice else target / 2.0  # the truncation's part of eps
+    terms = 0
+    while lam ** (terms + 1) * q_max / (1.0 - lam) > share:
+        terms += 1
+    step = lam**terms  # the lattice of X_K
+    if not lattice or 2.0 * q_max / ((1.0 - lam) * step) > _GRID_CAP:
+        lattice = False
+        step = max((1.0 - lam) * share, 2.0 * q_max / ((1.0 - lam) * _GRID_CAP))
+    # each rounding adds half a step, so no index passes (q_max / h + 1/2) / (1 - lam)
+    mid = math.ceil((q_max / step + 0.5) / (1.0 - lam))
+    p = np.zeros(2 * mid + 1)
+    p[mid] = 1.0  # U_0 = 0
+    for _ in range(terms):
+        p = _push(p, pairs, lam, step, mid)
+    q_law: dict[float, float] = {}
+    for q, _, w in pairs:
+        q_law[q] = q_law.get(q, 0.0) + w
+    p = _push(p, [(q, r, w / 2.0) for q, w in q_law.items() for r in (1.0, -1.0)], lam, step, mid)
+    nz = np.flatnonzero(p)
+    cum = np.zeros(nz.size + 1)
+    np.cumsum(p[nz], out=cum[1:])
+    cum /= cum[-1]
+    eps = lam ** (terms + 1) * q_max / (1.0 - lam) + (0.0 if lattice else step / (1.0 - lam))
+    return Bracket((nz - mid) * step, cum, eps, terms)
 
 
 def _frechet_exp(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -284,37 +307,13 @@ def _frechet_exp(alpha: float, u: np.ndarray) -> np.ndarray:
         return np.exp((-np.log(u)) ** (1.0 / alpha))
 
 
-def sample_limit(
-    law: LimitLaw,
-    rng: np.random.Generator,
-    series_terms: int | None = None,
-    size: int | None = None,
-):
-    """Draw from the limit law; scalar when size is None.
-
-    series_terms applies to the series laws only; None means the 1e-9
-    truncation target.
-    """
+# no caller in the package: it stays because perfbench/tracing.py wraps it and reads ``size``
+def sample_limit(law: LimitLaw, rng: np.random.Generator, size: int | None = None):
+    """Draw from a limit law with a closed CDF; scalar when size is None."""
     k = 1 if size is None else int(size)
     if k < 1:
         raise InvalidInputError("size must be >= 1")
-
-    if isinstance(law, (BernoulliConvolution, SymmetrizedPerpetuity)):
-        m = default_series_terms(law.lam) if series_terms is None else series_terms
-        if m < 1:
-            raise InvalidInputError("series_terms must be >= 1")
-    if isinstance(law, BernoulliConvolution):
-        out = _series_rows(rng, k, m, law.lam, _FAIR, _SIGNS)
-        out *= law.scale
-    elif isinstance(law, SymmetrizedPerpetuity):
-        pairs = law.pairs or ((1.0, 1.0, law.p), (1.0, -1.0, 1.0 - law.p))
-        q, s, w = (np.array(col) for col in zip(*pairs))
-        out = _series_rows(rng, k, m + 1, law.lam, w, q, s)
-        # the sign r, drawn a chunk at a time: the uniforms of one rng.random(k)
-        for a in range(0, k, _SIGN_CHUNK):
-            r = out[a : a + _SIGN_CHUNK]
-            r *= np.where(rng.random(r.size) < 0.5, 1.0, -1.0)
-    elif isinstance(law, LogNormalPositive):
+    if isinstance(law, LogNormalPositive):
         out = np.exp(rng.standard_normal(k))
     elif isinstance(law, LogNormalSymmetric):
         x = np.exp(rng.standard_normal(k))
@@ -327,7 +326,7 @@ def sample_limit(
     elif isinstance(law, Gaussian):
         out = math.sqrt(law.beta2) * rng.standard_normal(k)
     else:
-        raise InvalidInputError(f"unknown law {law!r}")
+        raise UnavailableError(f"no sampler for {label(law)}")
     return float(out[0]) if size is None else out
 
 
@@ -347,15 +346,13 @@ def cdf(law: LimitLaw, x):
     array: scipy's ufuncs are not given numpy's ``where`` masks, which
     corrupt memory in scipy 1.17.
     """
-    if not has_cdf(law):
-        raise UnavailableError(
-            f"{label(law)} has no closed CDF; compare against sample_limit"
-        )
+    if _bracketed(law):
+        raise UnavailableError(f"{label(law)} has no closed CDF; use its bracket")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
 
-    if isinstance(law, BernoulliConvolution):  # lam == 1/2: uniform on [-2c, 2c]
+    if isinstance(law, BernoulliConvolution):  # lam = 1/2: uniform on [-2c, 2c]
         c = law.scale
         out = np.add(arr, 2.0 * c)
         out /= 4.0 * c

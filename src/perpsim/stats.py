@@ -19,7 +19,7 @@ from .errors import InvalidInputError
 __all__ = ["Summary", "ks_one_sample", "ks_two_sample", "ks_atoms", "dkw_bound", "summary"]
 
 
-_CHUNK = 2**16  # points per pass of the KS loops
+_CHUNK = 2**14  # points per pass of the KS loops
 
 
 def _as_sorted(samples) -> np.ndarray:
@@ -31,30 +31,40 @@ def _as_sorted(samples) -> np.ndarray:
     return arr
 
 
-def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup_x |ECDF(x) - F(x)| against a reference CDF.
+def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray], upper=None):
+    """sup_x |ECDF(x) - F(x)| against a continuous reference law F.
 
-    Beyond the sorted copy and F at its points, the i / n - F and
-    (i - 1) / n - F terms take one chunk's buffer at a time.
+    With ``cdf`` alone, F is ``cdf`` and the result is that distance. With
+    ``upper``, F is known only to lie between the CDFs ``cdf`` <= F <=
+    ``upper``, and the result is a (lower, upper) pair of bounds on the
+    distance: at the i-th of n sorted points x_i, the distance is at most
+    max(i/n - cdf(x_i), upper(x_i) - (i-1)/n) and at least
+    max(i/n - upper(x_i), cdf(x_i) - (i-1)/n). With one CDF the two agree,
+    and equal max(|i/n - F|, |(i-1)/n - F|).
+
+    Beyond the sorted copy, the CDFs and the terms take one chunk's
+    buffers at a time.
     """
     xs = _as_sorted(samples)
     n = xs.size
-    f = np.asarray(cdf(xs), dtype=float)
-    if f.shape != xs.shape:
-        raise InvalidInputError("cdf must evaluate elementwise on arrays")
-    del xs
-    above, below = [], []
+    most, least = [], [0.0]
     for a in range(0, n, _CHUNK):
-        fc = f[a : a + _CHUNK]
-        i = np.arange(a + 1.0, a + 1.0 + fc.size)  # ranks, exact as doubles
-        d = i / n
-        d -= fc
-        above.append(np.abs(d, out=d).max())
+        x = xs[a : a + _CHUNK]
+        lo = np.asarray(cdf(x), dtype=float)
+        if lo.shape != x.shape:
+            raise InvalidInputError("cdf must evaluate elementwise on arrays")
+        hi = lo if upper is None else upper(x)
+        i = np.arange(a + 1.0, a + 1.0 + x.size)  # ranks, exact as doubles
+        at = i / n  # the ECDF at x_i
         i -= 1.0
-        np.divide(i, n, out=d)
-        d -= fc
-        below.append(np.abs(d, out=d).max())
-    return float(max(np.max(above), np.max(below)))
+        before = np.divide(i, n, out=i)  # and just below it
+        d = np.subtract(at, lo)
+        most.append(np.maximum(d.max(), np.subtract(hi, before, out=d).max()))
+        if upper is not None:
+            least.append(np.maximum(np.subtract(at, hi, out=d).max(),
+                                    np.subtract(lo, before, out=d).max()))
+    ks = float(np.max(most))
+    return ks if upper is None else (float(np.max(least)), ks)
 
 
 def ks_two_sample(a, b) -> float:
@@ -86,11 +96,9 @@ def ks_atoms(samples, atoms: np.ndarray, probs: np.ndarray) -> float:
     eps = float(gaps.min()) / 4.0 if gaps.size else 0.5
     eps = max(eps, 1e-12)
     cum = np.cumsum(probs)
+    # both CDFs are steps at the atoms, so their distance is read there
     ecdf_at = np.searchsorted(xs, atoms + eps, side="left") / n
-    ecdf_before = np.searchsorted(xs, atoms - eps, side="left") / n
-    dev_at = np.abs(ecdf_at - cum)
-    dev_before = np.abs(ecdf_before - (cum - probs))
-    return float(max(dev_at.max(), dev_before.max()))
+    return float(np.abs(ecdf_at - cum).max())
 
 
 def dkw_bound(n: int, delta: float) -> float:
@@ -117,6 +125,9 @@ def summary(samples: Sequence[float] | np.ndarray) -> Summary:
     Mean and variance are NaN when any sample is not finite; min and max
     ignore NaN. The samples are scaled by a power of two, which is exact,
     so that no sum overflows; the scaled copy is the one working array.
+    A variance past double range, of finite samples, is inf. report.json
+    writes a NaN and an inf variance alike as null; checkpoints.csv writes
+    ``nan`` or ``inf``.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
@@ -131,5 +142,6 @@ def summary(samples: Sequence[float] | np.ndarray) -> Summary:
     mean = x.mean()
     x -= mean
     np.square(x, out=x)
-    variance = float(np.ldexp(x.sum() / (n - 1), 2 * e)) if n >= 2 else None
+    with np.errstate(over="ignore"):  # the variance may pass double range: inf
+        variance = float(np.ldexp(x.sum() / (n - 1), 2 * e)) if n >= 2 else None
     return Summary(float(np.ldexp(mean, e)), variance, lo, hi, n)

@@ -73,23 +73,17 @@ def test_criterion_01_case_i_uniform_limit():
 
 
 def test_criterion_02_case_i_rho3_series_sampler():
+    # BernoulliConvolution(1/3) has no closed CDF: the KS upper bound
+    # against its bracket, the law of its truncated series on a grid
     model = ScaledRademacher(3.0, 0.5, QRademacher(0.5))
     _, values = normalized(model, [40], 100_000, seed=102)
-    lam = 1.0 / 3.0
-    m = lim.default_series_terms(lam)
-    assert lim.bc_truncation_bound(lam, m) < 1e-9
-    ref = lim.sample_limit(
-        lim.BernoulliConvolution(lam),
-        np.random.Generator(np.random.Philox(key=1002)),
-        series_terms=m,
-        size=100_000,
-    )
-    ks = ks_two_sample(values[40], ref)
+    bracket = lim.bracket(lim.BernoulliConvolution(1.0 / 3.0), 100_000)
+    _, ks = ks_one_sample(values[40], bracket.lower, bracket.upper)
     ok = ks <= 0.015
     record(
         2,
-        "case I sym rho=3 vs truncated series",
-        f"ks={ks:.5f} <= 0.015 (m={m})",
+        "case I sym rho=3 vs bracketed series",
+        f"ks={ks:.5f} <= 0.015 (K={bracket.terms}, width={bracket.width:.5f})",
         ok,
     )
     assert ok

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from perpsim import cli, simulate
+from perpsim import limits as lim
 from perpsim.cli import main
 from perpsim.config import load_config, parse_config, resolved_dict
 from perpsim.errors import ConfigError, InvalidInputError
@@ -70,8 +71,10 @@ class TestConfigParsing:
         assert cfg.workers == 1  # default
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(base_config(typo_key=1))
+        # series_terms set the length of a series reference that is gone
+        for key in ("typo_key", "series_terms"):
+            with pytest.raises(ConfigError, match=f"unknown key.*'{key}'"):
+                parse_config(base_config(**{key: 1}))
 
     def test_unknown_nested_key(self):
         bad = base_config()
@@ -158,7 +161,7 @@ class TestConfigParsing:
         echoed = resolved_dict(cfg)
         assert echoed["model"] == model
         assert parse_config(echoed) == cfg
-        assert echoed["series_terms"] is None  # default made explicit
+        assert "series_terms" not in echoed  # no field of that name
 
     @pytest.mark.parametrize(
         "model,message",
@@ -413,6 +416,26 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "x.json", {"ks": float("nan")})
 
+    @pytest.mark.parametrize("fault", ["q_one_law", "rho_n"])
+    def test_case_i_negative_controls_fail(self, tmp_path, monkeypatch, fault):
+        # case1_asym at its bundled seed and N, with the limit built as if
+        # Q = 1 (the fault of an early version), or normalized by rho^n in
+        # place of rho^(n-1): verify must fail on its own default cap
+        if fault == "q_one_law":
+            def q_one_law(regime, model):
+                return lim.SymmetrizedPerpetuity(regime.lam, regime.p)
+            monkeypatch.setattr(cli.lim, "limit_for", q_one_law)
+        else:
+            normalize = cli.normalize_samples
+            def rho_n(regime, *args):
+                return normalize(regime, *args) / regime.rho
+            monkeypatch.setattr(cli, "normalize_samples", rho_n)
+        out = tmp_path / "out"
+        config = str(CONFIGS / "case1_asym.json")
+        code = main(["verify", "--config", config, "--out", str(out), "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert code == 1 and report["final_ks"] > report["threshold"] == 0.010146997846583985
+
     def test_zero_threshold_fails(self, tmp_path):
         path = write_config(tmp_path, base_config(samples=2000, ks_threshold=0.0))
         out = tmp_path / "out"
@@ -567,20 +590,19 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"error: {message.format(B=B, B1=B + 1)}\n"
 
     @pytest.mark.parametrize(
-        "stem,cps,w,two_sample",
+        "stem,cps,w",
         [
-            ("case1_sym", (10, 40), False, False),
-            ("case1_asym", (20, 60), False, True),
-            ("case2_abs", (10, 40), False, False),
-            ("case3_clt", (10, 40), True, False),
+            ("case1_sym", (10, 40), False),
+            ("case1_asym", (20, 60), False),
+            ("case2_abs", (10, 40), False),
+            ("case3_clt", (10, 40), True),
         ],
         ids=["case1_sym", "case1_asym", "case2_abs", "case3_clt"],
     )
-    def test_memory_slope_is_snapshots_plus_four_words(self, tmp_path, stem, cps, w, two_sample):
+    def test_memory_slope_is_snapshots_plus_four_words(self, tmp_path, stem, cps, w):
         # Per trajectory, verify holds each checkpoint's snapshot (16 B),
         # and W's (8 B) when it tracks W, and while a checkpoint's row is
-        # made, four more words at most; a two-sample reference adds two
-        # (itself and its sorted copy). A block's and a chunk's buffers do
+        # made, four more words at most. A block's and a chunk's buffers do
         # not grow with N, so they cancel in the slope of the traced peak
         # from N = 10^5 to 2 * 10^5. Holding all of a run's per-block
         # snapshots next to their concatenation, and every checkpoint's
@@ -597,7 +619,7 @@ class TestVerifyCommand:
             finally:
                 tracemalloc.stop()
         slope = (peaks[1] - peaks[0]) / 100_000
-        assert slope <= (16 + 8 * w) * len(cps) + 32 + 16 * two_sample
+        assert slope <= (16 + 8 * w) * len(cps) + 32
 
 
 class TestOracleCommand:
@@ -771,40 +793,47 @@ class TestBundledConfigs:
     @pytest.mark.parametrize(
         "name,manifest,report",
         [
-            (
+            pytest.param(
                 "case1_sym.json",
-                "88d6f6c6e29c5beea667934358112385a9f0a56f11b75712b5b5fe9c2a984987",
+                "171a208ecd579761afecd9a6d62239563c781cab6d2833b983f3f3c9f284e699",
                 "812e50529cb33b8851c818f67170d2f83c72fcd37bdd9c5a08523b82d483a4d3",
+                id="case1_sym.json",
             ),
-            (
+            pytest.param(
                 "case1_asym.json",
-                "010a98ae213237f6e154405b280afa2ca0931a6cebafb3ec8a05347603a75068",
+                "58b844def38198b4ae352bfd7ecfe7c352fa39b9643b00f03ed6c9b9733989c8",
                 "f17260b60f63f7a065187428b391eb874cec0afa6527e9c856319191419a973b",
+                id="case1_asym.json",
             ),
-            (
+            pytest.param(
                 "case2_abs.json",
-                "d698558d2c763703783dd602729cebdc498f36957842ee31c4a25acc538649dc",
+                "3a522e282f664461a68737bb4ca15337c09101d38c10b9bfb38283be0e273615",
                 "35172b640a53326752dc594e6932b9f2faf97eb9cc80205a53c041579c116b02",
+                id="case2_abs.json",
             ),
-            (
+            pytest.param(
                 "case3_clt.json",
-                "c4b6ebc93f6f28ba8981b372b9f7ee20b742335b6bd500e39fc2e085212b3765",
+                "4687e1e3c49df5ef388e26f7df66f2d15e20164ef8bca3966937f698b9a6fbc0",
                 "e926c55ab15b9d6b65f8368e743d6a351e2d9da0075a5f41fb2817a97fbb474e",
+                id="case3_clt.json",
             ),
-            (
+            pytest.param(
                 "case3_evt.json",
-                "0923812057a7f6443fcbc6c0e95e508b520fb4de2c1f35333844274bb6cb877c",
+                "d61ccb476cc1fa9d61795fd1019d211e7dffb7db5f67d47cd69fbe3888a526ce",
                 "a426c2ea576cc65ccecaac969a1fed266be38a503f97998c2fd8292c3020aae3",
+                id="case3_evt.json",
             ),
-            (
+            pytest.param(
                 "case4.json",
-                "0560f1d9e5c3210ef6b628c1d8a8097a682c2cae1ee5a24c65e8bd8207d9a37e",
+                "5676e01f82b630f4218e5721a9cc3c1367dbcf0ef975817de2b75be8ec7595d7",
                 "c63ccccba8fdab5acb71a3ed2644a8dc9fd2c3bc46a6280623e462af453e83a9",
+                id="case4.json",
             ),
-            (
+            pytest.param(
                 "oracle_fair_sign.json",
-                "ab8f0601b0edd7d3968b237dd8107b5b2209854890e62d1175237c5244b42801",
+                "ab43c2c6dc6b007ef33c5409a2a01512866f595c64a48946c74171b7a725ad55",
                 "23ad826a8266f957931919947b5f17846f1125ce79f2e19b79fe9bccbda2533e",
+                id="oracle_fair_sign.json",
             ),
         ],
     )
@@ -836,56 +865,56 @@ SMALL_CHECKPOINTS = {
 }
 OUTPUT_DIGESTS = {
     ("case1_sym", "verify"): (
-        "94830c480faa7c25c767003623d141a6493ad90940daa12ddbb2ce1ca3f0b482",
-        "e9e46e3263bce3b8b80eaaeead9e91184d217ee25568ff36c44efbf66d454438",
+        "1742d85d2729eb2d2698f7aaa0cfcc8cd755d9844d535ce3fb1c642fbfd96556",
+        "2a78712f2df05422725c686541b32379cbc5012956d9f719def9db4361368a34",
     ),
     ("case1_sym", "sample"): (
-        "03c51a9b86041d169cebbaa510b0947a98672b7bdf702c76059e7b274a9a9de1",
-        "9e6bcf9fd1742eaceef124eef56155688a34114355e33432aa33a7c800e77639",
+        "ec048e30d4b1a3a8d71c2b4da4ce790e87eed16fb69096e55639ad1e88b71a08",
+        "a554ff67e9291b0c7d5d1addd78104b18c66c2a54b6544af51441217d9bbe9a1",
     ),
     ("case1_asym", "verify"): (
-        "bd1f01b2a1b8575a2250db0d0978918400dd1eede83dd4af915eda4dd6fe6009",
-        "81aad71fa701cb350dc8386fe75190f0c1321c62e2b094d7a3574fdf173e5d98",
+        "76a117fe1034f0ef1c5ed5f5d57fe83ffe5b4c547c2465839ccf87168397bc00",
+        "72d6a3bb4f9109ab38cae3a2f235d24b570ed9290de40f439066fe4a467eab48",
     ),
     ("case1_asym", "sample"): (
-        "6e2fcfa69294a007a0b98acace4385192404e6cbd36410ef4c72c40f93ae62b3",
-        "a34d6d69dca98e939134434f5ada3637b3f6226c12c9ca32d6ea7f9085bf27d0",
+        "fad8de90d749d1e86fcf01f4aaa8b3629890b402c773eb0b1417d8c67c9f052c",
+        "ad19c05d73e7e254ce488e810a833c570ebe4f4435f24f5c42234d24fdc7c233",
     ),
     ("case2_abs", "verify"): (
-        "ad141ad2c57241078ee865bf8624652284ba7fb29db7cba4106bf7dbaf40995d",
-        "797974bd60b8f7023c7d4e3f87a312264647ceca6204905b9ee303b852d35088",
+        "f6153674531f3edcfc61792f0b16af4d46e9198465355130147227501d5be6e1",
+        "38f002617f79ef56c33f11a05b7d7571e7ea4630acfc4e119c8cf97e30cd5d72",
     ),
     ("case2_abs", "sample"): (
-        "d4259b3e3a77a07c022f8b906c7cdad3ff6cd41015c1b6c34f7b0c7e8c38b19d",
-        "68f548f59292507702e06e11e110979269bac3f030aa733ae362960d42ea5e8d",
+        "0b6741f8cd14312765fd4be58b9203949559f81de5fcac1bd9c09f7158e88391",
+        "68c5f32e491c004e639429efd1820307b884e4713d05062162e46ba71d41fa4e",
     ),
     ("case3_clt", "verify"): (
-        "83df3ab754b4fd4ae912a5bc78115932c3e48b59c5ec5b532c3fd6302641065a",
-        "0bb753b3a206462c795cb573540302206c9dcb45834baad65107b333de757acc",
+        "95835efec1ccae3c677b368ef85fd709aab448429947e144b6c9f9dee71102aa",
+        "657db7ff6eec502c6ad790438497ed21bd0793d1ca80a7334d2ad35dfef9209a",
     ),
     ("case3_clt", "sample"): (
-        "0e5fdd6b0fe9d678fea68816487fda747f4932af549c1b5ebe083c841b405935",
-        "677cb7c767b761afd9a041f345e99a6d707765dbd1a22038ddc4a0800e1f6fe0",
+        "618922cb1c652898a53cb1b8d8bc1359fa05d10f12853a2071450946fd1c1994",
+        "94c504daeb33654c6b9e0287596fbf80bebee654a546e55ac69f37ef76a3ff31",
     ),
     ("case3_evt", "verify"): (
-        "1d40923a20072d1fcd6aebb73368a3d520024530d9069e358a8be3febfc745bb",
-        "1439ecd318578ffd0be30307c7fced8d5d4c474201657c4d9fc15ed4abce21ab",
+        "3950ccd2bf2f3a724e8146a4036c0dadc284508ca2b3a4b15835cdf56142d12e",
+        "9d3cfd7b8413c4495f8722a6ce815ddfe2f80165135ccca7e9e41c201f665940",
     ),
     ("case3_evt", "sample"): (
-        "f23cded2e232d2c3b25929fd44db751501beba4b28c10f8678c984bb08025e73",
-        "154f6a42e6abd8f160341243a7bc802a94d7a451fde4c0edc4a58905a65d90d2",
+        "5ea35df10016ba42a7c6ca502cf2eb81d114e82768c1d8ca52d83e868316f6c2",
+        "94df1185f882acf9831db59b5daae9b4d3529b27915e3cd86907a642dae64fe7",
     ),
     ("case4", "verify"): (
-        "f509e18808c9a5e479f39989e7ad47058fcede58d2c4d23d23703e30e0e61c2c",
-        "d30e06d52dcf0e7ae54a1504873f37c43cd0c98feac6eded3a59db983f629a1d",
+        "a8eb20936dbe3beda936edfcb48a099570da6aaefb23fc348604efe272fc1cb6",
+        "87c1c926fe766b0b99bc148fc124b621dc7d7541d41485e7477eb836cc2acd29",
     ),
     ("case4", "sample"): (
-        "73d99fa11fa0dfdefa2a0648144c819cf841e9a7e077e5f8ba567a52d3352c7f",
-        "28300ba2788933d351f024154b9a3bbae2fc44159d1a218a2da308f2139952b9",
+        "c77b34bc118125ea48e3f302ea959fc41a249a1a79c28528d064159db0812905",
+        "0604f3a9e8a498583cd8caff327d950b178cee161606d2de89ad8f8851441310",
     ),
     ("oracle_fair_sign", "oracle"): (
-        "3529f2f349c34334c21d847c8ef6ed4a8137065c4eb996349669b387488aacfd",
-        "84da811680dc41bb1e74a79da7838b39bbeccebfcdeb342279fc67bac81382e7",
+        "69e2785429cae5e2b12f445010058d7e9966829fd7caf346b33be2843fa6d3fe",
+        "dd3ec732774079b492df9e737ea668864f105dfcfe6ac0588047d88fd9a306cf",
     ),
 }
 
@@ -901,12 +930,12 @@ class TestOneCheckpointAtATime:
     @pytest.mark.parametrize(
         "command,model",
         [("verify", None), ("verify", CASE_I_ASYM), ("sample", None), ("oracle", FAIR_SIGN)],
-        ids=["verify", "verify_two_sample", "sample", "oracle"],
+        ids=["verify", "verify_bracket", "sample", "oracle"],
     )
     def test_earlier_samples_are_gone(self, tmp_path, monkeypatch, command, model):
         """A checkpoint's samples, normalized or the oracle's R_n, are made
         only once no earlier checkpoint's samples are held, by the loop or
-        by its caller. The I-asym law takes a two-sample reference."""
+        by its caller. The I-asym law takes a bracketed reference."""
         owner, name = (simulate.BatchResult, "to_reals") if command == "oracle" else (cli, "normalize_samples")
         real, made = getattr(owner, name), []
 

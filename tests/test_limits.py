@@ -1,15 +1,18 @@
-"""Limit laws: mapping, CDF values, sampler consistency, truncation bounds."""
+"""Limit laws: mapping, CDF values and brackets, sampler consistency, and the
+test-side series sampler the brackets are checked with."""
 
 import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
 from perpsim import limits as lim
+from perpsim.config import load_config
 from perpsim.errors import InvalidInputError, UnavailableError, UnsupportedError
 from perpsim.models import (
     DiscreteJoint,
@@ -27,6 +30,11 @@ from perpsim.normalize import normalize_samples
 from perpsim.simulate import run_batch
 from perpsim.stats import dkw_bound, ks_one_sample, ks_two_sample
 
+import series_sampler as ss
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def rng(seed=0):
     return Generator(Philox(key=seed))
@@ -41,7 +49,7 @@ def law_for(model):
 
 
 class RowFeed:
-    """Stands in for a Generator in the series samplers: ``random((r, w))``
+    """Stands in for a Generator in the series sampler: ``random((r, w))``
     returns the next r rows of the first w columns of ``u``, so that series
     of different lengths read one stream."""
 
@@ -65,12 +73,14 @@ class TestLimitFor:
     def test_case_i_sym_rho2(self):
         law = law_for(ScaledRademacher(2.0, 0.5, QRademacher(0.5)))
         assert law == lim.BernoulliConvolution(0.5)
-        assert lim.has_cdf(law)
+        assert lim.bracket(law, 10**5) is None  # a closed CDF
 
     def test_case_i_sym_rho3_no_cdf(self):
         law = law_for(ScaledRademacher(3.0, 0.5, QRademacher(0.5)))
         assert law == lim.BernoulliConvolution(1.0 / 3.0)
-        assert not lim.has_cdf(law)
+        with pytest.raises(UnavailableError):
+            lim.cdf(law, 0.0)
+        assert lim.bracket(law, 10**5) is not None
 
     def test_case_i_asym(self):
         # Q enters every term of the series, so the law carries (Q, sgn M)
@@ -80,7 +90,9 @@ class TestLimitFor:
         pairs = {(q, s): w for q, s, w in law.pairs}
         assert pairs.keys() == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
         assert pairs[(-1.0, 1.0)] == pytest.approx(0.3 * 0.7)
-        assert not lim.has_cdf(law)
+        with pytest.raises(UnavailableError):
+            lim.cdf(law, 0.0)
+        assert lim.bracket(law, 10**5) is not None
 
     def test_case_i_asym_unit_q_keeps_plain_law(self):
         law = law_for(ScaledRademacher(2.0, 0.7, QConstant(1.0)))
@@ -209,39 +221,41 @@ class TestCdf:
 
 
 class TestTruncationBound:
+    """The test-side sampler's truncation, which its draws rely on."""
+
     def test_half_thirty(self):
-        assert lim.bc_truncation_bound(0.5, 30) == pytest.approx(
+        assert ss.truncation_bound(0.5, 30) == pytest.approx(
             2.0 * 2.0**-30, rel=1e-12
         )
 
     def test_zero_terms(self):
-        assert lim.bc_truncation_bound(0.5, 0) == 2.0
+        assert ss.truncation_bound(0.5, 0) == 2.0
 
     def test_slow_decay(self):
-        assert lim.bc_truncation_bound(0.9, 200) == pytest.approx(
+        assert ss.truncation_bound(0.9, 200) == pytest.approx(
             0.9**200 / 0.1, rel=1e-12
         )
-        assert lim.bc_truncation_bound(0.9, 200) < 1e-8
+        assert ss.truncation_bound(0.9, 200) < 1e-8
 
     def test_default_series_terms(self):
         for lam in (0.2, 1 / 3, 0.5, 0.9):
-            m = lim.default_series_terms(lam)
-            assert lim.bc_truncation_bound(lam, m) < 1e-9
-            assert lim.bc_truncation_bound(lam, m - 1) >= 1e-9
+            m = ss.default_terms(lam)
+            assert ss.truncation_bound(lam, m) < 1e-9
+            assert ss.truncation_bound(lam, m - 1) >= 1e-9
 
     def test_shared_stream_truncation(self):
         u = rng(3).random((5000, 45))
         lam = 0.6
         m = 25
-        short = lim._series_rows(RowFeed(u), 5000, m, lam, lim._FAIR, lim._SIGNS)
-        long = lim._series_rows(RowFeed(u), 5000, 45, lam, lim._FAIR, lim._SIGNS)
-        assert np.abs(short - long).max() <= lim.bc_truncation_bound(lam, m)
+        short = ss.series_rows(RowFeed(u), 5000, m, lam, ss.FAIR, ss.SIGNS)
+        long = ss.series_rows(RowFeed(u), 5000, 45, lam, ss.FAIR, ss.SIGNS)
+        assert np.abs(short - long).max() <= ss.truncation_bound(lam, m)
 
 
 class TestSamplers:
     def test_bc_series_bound(self):
         law = lim.BernoulliConvolution(0.5)
-        out = lim.sample_limit(law, rng(1), series_terms=60, size=50_000)
+        out = ss.sample_series(law, rng(1), 50_000, terms=60)
         assert out.min() >= -2.0 and out.max() <= 2.0
 
     def test_scalar_mode(self):
@@ -250,7 +264,7 @@ class TestSamplers:
 
     def test_symmetrized_perpetuity_mean(self):
         law = lim.SymmetrizedPerpetuity(0.5, 0.7)
-        out = lim.sample_limit(law, rng(4), size=100_000)
+        out = ss.sample_series(law, rng(4), 100_000)
         se = out.std(ddof=1) / math.sqrt(out.size)
         assert abs(out.mean()) < 4 * se
 
@@ -267,21 +281,22 @@ class TestSamplers:
         mom = analytic_moments(model)
         lam = 1.0 / model.rho
         want = case_one_second_moment(lam, model.p, mom.mean_q, mom.mean_q2)
-        out = lim.sample_limit(law_for(model), rng(9), size=200_000)
+        out = ss.draw(law_for(model), rng(9), 200_000)
         se = np.std(out**2, ddof=1) / math.sqrt(out.size)
         assert abs(np.mean(out**2) - want) < 4 * se
 
     def test_case_i_dependent_pairs_match_simulation(self):
-        # the series law of a model with Q tied to sgn M against the
+        # the bracketed law of a model with Q tied to sgn M against the
         # normalized recursion itself
         model = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, -2.0), 0.25), ((-1.0, -2.0), 0.25)))
         reg = regime_for(model)
         batch = run_batch(model, [40], 20_000, master_seed=17)
         values = normalize_samples(reg, batch.vectors(40), 40)
-        ref = lim.sample_limit(law_for(model), rng(10), size=20_000)
-        assert ks_two_sample(values, ref) < 2 * dkw_bound(20_000, 0.005)
-        bc = lim.sample_limit(lim.BernoulliConvolution(0.5), rng(11), size=20_000)
-        assert ks_two_sample(values, bc) > 2 * dkw_bound(20_000, 0.005)
+        bracket = lim.bracket(law_for(model), 20_000)
+        _, ks = ks_one_sample(values, bracket.lower, bracket.upper)
+        assert ks < dkw_bound(20_000, 0.005)
+        bc = lim.BernoulliConvolution(0.5)
+        assert ks_one_sample(values, lambda x: lim.cdf(bc, x)) > 2 * dkw_bound(20_000, 0.005)
 
     def test_exp_frechet_inverse_cdf_point(self):
         law = lim.ExpFrechet(-1.0)
@@ -300,7 +315,7 @@ class TestSamplers:
         ],
     )
     def test_sampler_cdf_consistency(self, law):
-        out = lim.sample_limit(law, rng(6), size=100_000)
+        out = ss.draw(law, rng(6), 100_000)
         ks = ks_one_sample(out, lambda x: lim.cdf(law, x))
         assert ks < 0.007  # dkw(1e5, 0.01) + slack
 
@@ -309,7 +324,7 @@ class TestSamplers:
         [lim.LogNormalSymmetric(), lim.SymmetrizedPerpetuity(0.5, 0.7)],
     )
     def test_symmetry(self, law):
-        out = lim.sample_limit(law, rng(7), size=100_000)
+        out = ss.draw(law, rng(7), 100_000)
         assert ks_two_sample(out, -out) < 0.01
 
     def test_rejects_bad_size(self):
@@ -319,7 +334,7 @@ class TestSamplers:
 
 def series_width(law) -> int:
     """Uniforms per value: one per term, and the BC has no Q_1 column."""
-    m = lim.default_series_terms(law.lam)
+    m = ss.default_terms(law.lam)
     return m if isinstance(law, lim.BernoulliConvolution) else m + 1
 
 
@@ -334,11 +349,11 @@ NON_DYADIC = [
     lim.BernoulliConvolution(0.4),
 ]
 
-# sha256 prefixes of sample_limit(law, rng(1400 + size), size=size) as the
+# sha256 prefixes of sample_series(law, rng(1400 + size), size) as the
 # unchunked sampler made them, with one matrix product per sample. At
 # lam = 1/2 every partial sum is exact, so any order of the sums gives these
 # bytes. The sizes are 1, c - 1, c, c + 1 and 2c + 7 for the c rows of a
-# chunk at the default _CHUNK_CELLS: 4096 rows of 32 uniforms, and 4228 of
+# chunk at the default CHUNK_CELLS: 4096 rows of 32 uniforms, and 4228 of
 # 31 for the BC.
 PINNED_AT_HALF = [
     ("sp", 1, "1b814f2fff959cde"),
@@ -360,17 +375,17 @@ PINNED_AT_HALF = [
 
 
 class TestSeriesSamplers:
-    """The series laws' samplers, drawn a chunk of rows at a time."""
+    """The test-side series sampler, drawn a chunk of rows at a time."""
 
     def test_pinned_sizes_straddle_chunks(self):
-        assert [lim._CHUNK_CELLS // series_width(LAWS_AT_HALF[k]) for k in ("sp", "bc")] == [
+        assert [ss.CHUNK_CELLS // series_width(LAWS_AT_HALF[k]) for k in ("sp", "bc")] == [
             4096,
             4228,
         ]
 
     @pytest.mark.parametrize("name,size,digest", PINNED_AT_HALF)
     def test_exact_at_half_matches_unchunked_sampler(self, name, size, digest):
-        out = lim.sample_limit(LAWS_AT_HALF[name], rng(1400 + size), size=size)
+        out = ss.sample_series(LAWS_AT_HALF[name], rng(1400 + size), size)
         assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("law", NON_DYADIC, ids=["sp_pairs_third", "bc_0.4"])
@@ -378,10 +393,10 @@ class TestSeriesSamplers:
         # each row's terms are summed in one fixed order, so no value may
         # depend on how the rows are grouped; a matrix product's sums do
         width = series_width(law)
-        runs = [lim.sample_limit(law, rng(21), size=600).tobytes()]
+        runs = [ss.sample_series(law, rng(21), 600).tobytes()]
         for rows in (1, 7):
-            monkeypatch.setattr(lim, "_CHUNK_CELLS", rows * width)
-            runs.append(lim.sample_limit(law, rng(21), size=600).tobytes())
+            monkeypatch.setattr(ss, "CHUNK_CELLS", rows * width)
+            runs.append(ss.sample_series(law, rng(21), 600).tobytes())
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize("law", NON_DYADIC, ids=["sp_pairs_third", "bc_0.4"])
@@ -397,7 +412,7 @@ class TestSeriesSamplers:
         g = rng(33)
         u = g.random((size, width))
         r = np.where(g.random(size) < 0.5, 1, -1)
-        got = lim.sample_limit(law, rng(33), size=size)
+        got = ss.sample_series(law, rng(33), size)
         lam = Fraction(law.lam)
         if isinstance(law, lim.BernoulliConvolution):
             atoms = ((law.scale, 1.0, 0.5), (-law.scale, 1.0, 0.5))
@@ -431,21 +446,69 @@ class TestSeriesSamplers:
         # sampler's (size, m + 1) matrices at 111 MB
         for law in (lim.SymmetrizedPerpetuity(0.5, 0.7), lim.BernoulliConvolution(0.5)):
             # a first call's one-off allocations are not the sampler's
-            lim.sample_limit(law, rng(13), size=10)
+            ss.sample_series(law, rng(13), 10)
             tracemalloc.start()
             try:
-                lim.sample_limit(law, rng(13), size=200_000)
+                ss.sample_series(law, rng(13), 200_000)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 1.6e6 + 2e6, law
 
-    @pytest.mark.parametrize("law", [LAWS_AT_HALF["bc"], LAWS_AT_HALF["sp"]], ids=["bc", "sp"])
-    def test_series_terms_default_only_for_none(self, law):
-        m = lim.default_series_terms(law.lam)
-        default = lim.sample_limit(law, rng(14), size=50)
-        assert default.tolist() == lim.sample_limit(law, rng(14), series_terms=None, size=50).tolist()
-        assert default.tolist() == lim.sample_limit(law, rng(14), series_terms=m, size=50).tolist()
-        for bad in (0, -1):
-            with pytest.raises(InvalidInputError, match="series_terms"):
-                lim.sample_limit(law, rng(14), series_terms=bad, size=50)
+
+class TestBracket:
+    """The bracketed CDFs of the Case I series laws with no closed form."""
+
+    def test_bundled_width(self):
+        # case1_asym's law at its bundled N: on the lattice, eps is the
+        # truncation's alone, and the width is far below DKW(10^5) = 0.0051
+        cfg = load_config(CONFIGS / "case1_asym.json")
+        bracket = lim.bracket(law_for(cfg.model), cfg.samples)
+        assert bracket.eps == 0.5 ** (bracket.terms + 1) / 0.5
+        assert bracket.width < 1e-4
+
+    @pytest.mark.parametrize(
+        "law,q_max", [(LAWS_AT_HALF["sp_q3"], 3.0), (NON_DYADIC[0], 1.0), (NON_DYADIC[1], 1.0)],
+        ids=["sp_q3", "sp_third", "bc_0.4"],
+    )
+    def test_eps_follows_the_samples(self, law, q_max):
+        for n in (10**3, 10**5):
+            assert lim.bracket(law, n).eps <= dkw_bound(n, 0.01) * q_max / 100
+
+    @pytest.mark.parametrize(
+        "law,size",
+        [(law_for(ScaledRademacher(2.0, 0.7, QRademacher(0.7))), 10**6),
+         (NON_DYADIC[0], 2 * 10**5), (NON_DYADIC[1], 2 * 10**5)],
+        ids=["case1_asym", "sp_third", "bc_0.4"],
+    )
+    def test_series_draws_lie_within_dkw(self, law, size):
+        # float64 draws of the series itself, from the test-side sampler:
+        # their distance outside the bracket, the KS lower bound, is within
+        # the DKW radius, and the upper bound exceeds it by the width at most
+        draws = ss.sample_series(law, rng(41), size)
+        bracket = lim.bracket(law, size)
+        low, high = ks_one_sample(draws, bracket.lower, bracket.upper)
+        assert low <= dkw_bound(size, 0.01)
+        assert high - low <= bracket.width
+
+    def test_lattice_bracket_holds_the_uniform(self):
+        # four equally likely (q, s) make the fair-sign law with |Q| = 1,
+        # 1 * BernoulliConvolution(1/2) = Uniform[-2, 2]
+        atoms = tuple((q, s, 0.25) for q in (-1.0, 1.0) for s in (-1.0, 1.0))
+        law = lim.SymmetrizedPerpetuity(0.5, 0.5, atoms)
+        bracket = lim.bracket(law, 10**4)
+        x = np.linspace(-2.5, 2.5, 100_001)
+        f = lim.cdf(lim.BernoulliConvolution(0.5), x)
+        assert np.all(bracket.lower(x) <= f) and np.all(f <= bracket.upper(x))
+        assert bracket.width <= 2 * bracket.eps / 4 + 1e-12  # a density of 1/4
+
+    def test_grid_bracket_holds_the_cantor_gaps(self):
+        # BernoulliConvolution(1/3) lives on a Cantor set: its CDF is 1/2 on
+        # (-1/2, 1/2), 1/4 on (-7/6, -5/6) and 3/4 on (5/6, 7/6). The bracket,
+        # made on a grid, must be exactly that a distance 2 eps inside them
+        bracket = lim.bracket(lim.BernoulliConvolution(1.0 / 3.0), 10**5)
+        for a, b, f in ((-2.5, -1.5, 0.0), (-7 / 6, -5 / 6, 0.25), (-0.5, 0.5, 0.5),
+                        (5 / 6, 7 / 6, 0.75), (1.5, 2.5, 1.0)):
+            x = np.linspace(a + 2 * bracket.eps, b - 2 * bracket.eps, 1001)
+            assert np.abs(bracket.lower(x) - f).max() <= 1e-12
+            assert np.abs(bracket.upper(x) - f).max() <= 1e-12

@@ -140,6 +140,22 @@ class TestExactKs:
             max(abs((i + 1) / n - fi), abs(i / n - fi)) for i, fi in enumerate(f)
         )
 
+    @given(tied_lists, st.integers(1, 5), st.sampled_from([0.0, 2.0**-6, 0.25]))
+    def test_one_sample_bracket_bounds_the_sup(self, xs, chunk, shift):
+        # F known only between U[0, 1]'s CDF moved right and left by
+        # ``shift``: the pair bounds the exact sup against each of the two
+        # and against U[0, 1] itself, and with no shift both equal it
+        arr = np.array(xs)
+        lower = lambda x: uniform_cdf(np.subtract(x, shift))  # noqa: E731
+        upper = lambda x: uniform_cdf(np.add(x, shift))  # noqa: E731
+        with mock.patch.object(stats, "_CHUNK", chunk):
+            low, high = ks_one_sample(arr, lower, upper)
+            for cdf in (lower, uniform_cdf, upper):
+                ks = ks_one_sample(arr, cdf)
+                assert low - 2.0**-52 <= ks <= high + 2.0**-52
+        if shift == 0.0:
+            assert low == high == ks_one_sample(arr, uniform_cdf)
+
     @given(atom_laws())
     def test_atoms_is_exact_sup(self, law):
         atoms, probs, xs = law
@@ -248,6 +264,13 @@ class TestSummary:
         assert s.mean == pytest.approx(mean, rel=1e-12)
         assert s.variance == pytest.approx(variance, rel=1e-12)
         assert (s.min, s.max) == (xs.min(), xs.max())
+
+    @pytest.mark.filterwarnings("error")
+    def test_variance_past_double_range_is_inf(self):
+        # finite samples whose variance overflows, as in a III-evt run at
+        # small n: inf, with no warning
+        s = summary([1e200, -1e200, 0.0])
+        assert (s.mean, s.variance) == (0.0, math.inf)
 
     def test_sums_do_not_overflow(self):
         s = summary([1.5e308, 1.5e308, 1.5e308])

@@ -83,7 +83,7 @@ def test_ks_convergence_rows_are_verify_rows(tmp_path):
     grid = tuple(int(row[0]) for row in got)
     assert grid == (10, 16, 25, 40)
     regime = classify(analytic_moments(cfg.model), cfg.model)
-    _, _, pairs = verification_rows(dataclasses.replace(cfg, checkpoints=grid), regime)
+    _, pairs = verification_rows(dataclasses.replace(cfg, checkpoints=grid), regime)
     rows = [row for row, _ in pairs]
     assert got == [[r["n"], r["ks"], r["mean"], r["variance"]] for r in rows]
 
@@ -181,6 +181,32 @@ def run_script(script, *args):
         [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-c", script, *args], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
+
+
+# Runs in a fresh interpreter from the repository root: installs the span
+# tracer of perfbench/run.py --trace 1 on the package's live modules and
+# takes it off again; prints, as one JSON line, the number of names wrapped
+# and whether each was wrapped and then restored.
+TRACER_SCRIPT = r"""
+import importlib.util, json, pathlib, sys
+spec = importlib.util.spec_from_file_location("tracing", "perfbench/tracing.py")
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+saved = tracing.install(tracing.Tracer(pathlib.Path(sys.argv[1])))
+wrapped = [getattr(owner, attr) is not original for owner, attr, original in saved]
+tracing.uninstall(saved)
+restored = [getattr(owner, attr) is original for owner, attr, original in saved]
+print(json.dumps([len(saved), all(wrapped), all(restored)]))
+"""
+
+
+def test_tracer_installs_on_the_live_modules(tmp_path):
+    # the tracer wraps package names by attribute, cli.ks_two_sample and
+    # limits.sample_limit among them, so a change that deletes or renames
+    # one fails here, not only in the benchmark's traced runs
+    proc = run_script(TRACER_SCRIPT, str(tmp_path))
+    count, wrapped, restored = json.loads(proc.stdout.splitlines()[-1])
+    assert count > 12 and wrapped and restored
 
 
 # Runs in a fresh interpreter from the repository root, with an output
