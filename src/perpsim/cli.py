@@ -53,6 +53,7 @@ from .errors import (
     UnsupportedError,
     WorkerError,
 )
+from .limits import exact_laws, exact_moments_recursion
 from .models import (
     DiscreteJoint,
     RegimeReport,
@@ -61,7 +62,7 @@ from .models import (
     tail_quantile,
 )
 from .normalize import normalize_samples
-from .simulate import enumerate_exact, exact_moments_recursion, run_batch
+from .simulate import run_batch
 from .stats import dkw_bound, ks_atoms, ks_one_sample, summary
 # ks_two_sample is unused here but stays a module name: perfbench/tracing.py wraps it
 from .stats import ks_two_sample  # noqa: F401
@@ -334,8 +335,8 @@ def cmd_oracle(cfg: RunConfig, out: Path, quiet: bool = False) -> int:
         raise InvalidModelError("the enumeration oracle needs a discrete_joint model")
     _emit_manifest(out, "oracle", cfg)
     # the reference at n is R_n's exact law, enumerated (and the guard on
-    # its size met) for every n before the batch runs
-    exacts = {n: enumerate_exact(model, n) for n in cfg.checkpoints}
+    # its size met) up to the last n before the batch runs
+    exacts = exact_laws(model, cfg.checkpoints)
     batch = run_batch(model, cfg.checkpoints, cfg.samples, cfg.seed, workers=cfg.workers)
 
     def distance(values, n):

@@ -42,7 +42,7 @@ class UnavailableError(PerpsimError):
 
 
 class TooLargeError(PerpsimError, ValueError):
-    """Exact enumeration would exceed the state-space guard."""
+    """Exact enumeration would exceed its size guard or the double range."""
 
 
 class InvalidArgumentsError(PerpsimError, ValueError):

@@ -28,6 +28,13 @@ closed form, the SymmetrizedPerpetuity and the BernoulliConvolution at
 lam != 1/2. ``bracket`` gives each of those two CDFs F_K(x -/+ eps) below
 and above it, from the exact law of its truncated series on a grid (see
 ``Bracket``), with eps sized to the number of samples it is tested with.
+
+``exact_laws`` gives the exact law of R_n itself for a discrete_joint
+model at each checkpoint, the oracle's reference. It and the truncated
+series are both laws of an affine recursion X <- a + b X over finitely
+many (a, b, prob) maps, and both are built by one step, ``_step``: each
+atom's image as a double (rounded to the grid for the series), equal
+images merged, no tolerance.
 """
 
 from __future__ import annotations
@@ -38,8 +45,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidInputError, UnavailableError, UnsupportedError
-from .models import DiscreteJoint, PairModel, QConstant, RegimeReport, ScaledRademacher
+from .errors import (DomainError, InvalidInputError, InvalidModelError, TooLargeError,
+                     UnavailableError, UnsupportedError)
+from .models import (DiscreteJoint, PairModel, QConstant, RegimeReport, ScaledRademacher,
+                     SignedUnit, analytic_moments)
 from .stats import dkw_bound
 
 __all__ = [
@@ -58,6 +67,11 @@ __all__ = [
     "bracket",
     "sample_limit",
     "cdf",
+    "ENUMERATION_GUARD",
+    "ExactDistribution",
+    "exact_laws",
+    "enumerate_exact",
+    "exact_moments_recursion",
 ]
 
 
@@ -204,7 +218,7 @@ def limit_for(regime: RegimeReport, model: PairModel) -> LimitLaw:
     raise UnsupportedError(f"no limit law for regime {case}")
 
 
-_GRID_CAP = 2**20  # points of a binned bracket's grid: 8 MiB of doubles
+_GRID_CAP = 2**20  # grid points across a bracket's support, so at most that many atoms
 
 
 def _bracketed(law: LimitLaw) -> bool:
@@ -214,22 +228,52 @@ def _bracketed(law: LimitLaw) -> bool:
     return isinstance(law, SymmetrizedPerpetuity)
 
 
-def _push(p: np.ndarray, atoms, lam: float, step: float, mid: int) -> np.ndarray:
-    """The law of s (q + lam Z) on the grid, for Z of law ``p`` and (q, s)
-    drawn from the (q, s, prob) ``atoms``: grid point i is (i - mid) * step,
-    and each image goes to its nearest grid point."""
-    nz = np.flatnonzero(p)
-    z = nz - float(mid)
-    z *= lam
-    mass = p[nz]
-    out = np.zeros_like(p)
-    for q, s, w in atoms:
-        y = z + q / step
-        y *= s
-        j = np.rint(y, out=y).astype(np.intp)
-        j += mid
-        out += np.bincount(j, weights=mass * w, minlength=p.size)
-    return out
+def _firsts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal neighbours in ``x``."""
+    return np.concatenate(([True], x[1:] != x[:-1]))
+
+
+def _step(values: np.ndarray, probs: np.ndarray, maps, grid: bool = False):
+    """The law of a + b V, for V of the finite law (``values``, ``probs``)
+    and (a, b) drawn with probability w from the (a, b, w) ``maps``.
+
+    Images are computed as doubles, a + (b v), and on a ``grid`` (values
+    in grid-index units) rounded to the nearest integer. Equal images
+    merge; their probabilities are summed in the order of v within a map,
+    then map by map in the order of ``maps``, and an atom whose
+    probability underflows to 0 is dropped.
+    Returns the sorted atoms and their probabilities. The work is
+    O(maps x atoms x log): one sort of every map's distinct images, then
+    one lookup of each map's images in the result.
+    """
+
+    def images(a, b):
+        """The distinct images, and the mask of each one's first preimage:
+        a + (b v), rounded or not, is monotone in v, so equal images are
+        neighbours."""
+        x = b * values
+        x += a
+        if grid:
+            np.rint(x, out=x)
+        first = _firsts(x)
+        return x[first], first
+
+    atoms = np.empty(len(maps) * values.size)
+    end = 0
+    for a, b, _ in maps:
+        run, _ = images(a, b)
+        atoms[end:end + run.size] = run
+        end += run.size
+    atoms = atoms[:end]
+    atoms.sort()
+    atoms = atoms[_firsts(atoms)]
+    mass = np.zeros(atoms.size)
+    for a, b, w in maps:
+        run, first = images(a, b)
+        # each image's probability, summed in the order of v, added to its atom
+        mass[np.searchsorted(atoms, run)] += np.bincount(np.cumsum(first) - 1, weights=probs * w)
+    live = mass > 0.0
+    return atoms[live], mass[live]
 
 
 class Bracket:
@@ -283,22 +327,115 @@ def bracket(law: LimitLaw, samples: int) -> Bracket | None:
     if not lattice or 2.0 * q_max / ((1.0 - lam) * step) > _GRID_CAP:
         lattice = False
         step = max((1.0 - lam) * share, 2.0 * q_max / ((1.0 - lam) * _GRID_CAP))
-    # each rounding adds half a step, so no index passes (q_max / h + 1/2) / (1 - lam)
-    mid = math.ceil((q_max / step + 0.5) / (1.0 - lam))
-    p = np.zeros(2 * mid + 1)
-    p[mid] = 1.0  # U_0 = 0
-    for _ in range(terms):
-        p = _push(p, pairs, lam, step, mid)
     q_law: dict[float, float] = {}
     for q, _, w in pairs:
         q_law[q] = q_law.get(q, 0.0) + w
-    p = _push(p, [(q, r, w / 2.0) for q, w in q_law.items() for r in (1.0, -1.0)], lam, step, mid)
-    nz = np.flatnonzero(p)
-    cum = np.zeros(nz.size + 1)
-    np.cumsum(p[nz], out=cum[1:])
+    # s (q + lam Z) is a + b Z with (a, b) = (s q / h, s lam) in units of the step h
+    u_maps = [(s * q / step, s * lam, w) for q, s, w in pairs]
+    x_maps = [(r * q / step, r * lam, w / 2.0) for q, w in q_law.items() for r in (1.0, -1.0)]
+    x, p = np.zeros(1), np.ones(1)  # U_0 = 0
+    for maps in [u_maps] * terms + [x_maps]:
+        x, p = _step(x, p, maps, grid=True)
+    cum = np.zeros(p.size + 1)
+    np.cumsum(p, out=cum[1:])
     cum /= cum[-1]
     eps = lam ** (terms + 1) * q_max / (1.0 - lam) + (0.0 if lattice else step / (1.0 - lam))
-    return Bracket((nz - mid) * step, cum, eps, terms)
+    return Bracket(x * step, cum, eps, terms)
+
+
+ENUMERATION_GUARD = 10_000_000  # maps times live atoms of one enumeration step
+
+
+@dataclass(frozen=True)
+class ExactDistribution:
+    """Finite law as sorted atoms; probabilities sum to 1 within 1e-12."""
+
+    values: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.any(self.probs <= 0.0):
+            raise InvalidInputError("atom probabilities must be positive")
+        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
+            raise InvalidInputError("atom probabilities must sum to 1")
+        if np.any(np.diff(self.values) < 0):
+            raise InvalidInputError("atoms must be sorted")
+
+    @property
+    def atoms(self) -> list[tuple[float, float]]:
+        return list(zip(self.values.tolist(), self.probs.tolist()))
+
+    def mean(self) -> float:
+        return float(np.dot(self.values, self.probs))
+
+    def variance(self) -> float:
+        mu = self.mean()
+        return float(np.dot((self.values - mu) ** 2, self.probs))
+
+
+def exact_laws(model: PairModel, checkpoints) -> dict[int, ExactDistribution]:
+    """Exact law of R_n = Q_n + M_n R_{n-1}, R_0 = 0, at each n of
+    ``checkpoints``, for a discrete_joint model: one run of steps over
+    its (q, m, prob) atoms, each image the double q + (m r) that
+    ``run_batch`` computes, so its samples lie on the atoms while R stays
+    inside the double range.
+
+    Raises TooLargeError before a step whose maps times live atoms exceed
+    ``ENUMERATION_GUARD``, or after a step that leaves the double range
+    (an atom at +/-inf, or NaN).
+    """
+    if not isinstance(model, DiscreteJoint):
+        raise InvalidModelError("exact enumeration needs a DiscreteJoint model")
+    if min(checkpoints) < 1:
+        raise InvalidInputError("n must be >= 1")
+    wanted, last = set(checkpoints), max(checkpoints)
+    maps = [(q, m, p) for (q, m), p in model.atoms]
+    values, probs = np.zeros(1), np.ones(1)  # R_0 = 0
+    laws = {}
+    for k in range(1, last + 1):
+        if len(maps) * values.size > ENUMERATION_GUARD:
+            raise TooLargeError(
+                f"step {k} of {last} maps {values.size} live atoms by {len(maps)} (Q, M) atoms, "
+                f"past the {ENUMERATION_GUARD} guard"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            values, probs = _step(values, probs, maps)
+        if not np.isfinite(values).all():
+            raise TooLargeError(f"step {k} of {last} leaves the double range")
+        if k in wanted:
+            laws[k] = ExactDistribution(values, probs)
+    return laws
+
+
+def enumerate_exact(model: PairModel, n: int) -> ExactDistribution:
+    """Exact law of R_n (see ``exact_laws``)."""
+    return exact_laws(model, [n])[n]
+
+
+def exact_moments_recursion(model: PairModel, n: int) -> tuple[float, float]:
+    """(E R_n, var R_n) via the moment recursion valid when M**2 = 1.
+
+    m_k = EQ + EM m_{k-1};  s_k = EQ^2 + 2 E(QM) m_{k-1} + s_{k-1}.
+    """
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
+    mom = analytic_moments(model)
+    if isinstance(model, DiscreteJoint):
+        if not all(abs(abs(m) - 1.0) <= 1e-12 for (_, m), _ in model.atoms):
+            raise DomainError("moment recursion requires |M| = 1 a.s.")
+    elif not isinstance(model, SignedUnit):
+        raise DomainError("moment recursion requires |M| = 1 a.s.")
+    if not (-1.0 + 1e-12 < mom.mean_m < 1.0 - 1e-12):
+        raise DomainError("moment recursion requires -1 < EM < 1")
+    if not math.isfinite(mom.mean_q2):
+        raise DomainError("moment recursion requires finite EQ^2")
+
+    m_k = 0.0
+    s_k = 0.0
+    for _ in range(n):
+        s_k = mom.mean_q2 + 2.0 * mom.mean_qm * m_k + s_k
+        m_k = mom.mean_q + mom.mean_m * m_k
+    return m_k, s_k - m_k * m_k
 
 
 def _frechet_exp(alpha: float, u: np.ndarray) -> np.ndarray:

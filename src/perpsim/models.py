@@ -54,7 +54,6 @@ __all__ = [
     "PairModel",
     "Moments",
     "RegimeReport",
-    "CASE_IDS",
     "analytic_moments",
     "classify",
     "tail_quantile",
@@ -537,20 +536,6 @@ def analytic_moments(model: PairModel) -> Moments:
 # ---------------------------------------------------------------------------
 # Regime classification
 # ---------------------------------------------------------------------------
-
-CASE_IDS = (
-    "I-sym",
-    "I-asym",
-    "II-abs",
-    "II-signed",
-    "III-clt",
-    "III-evt",
-    "III-boundary-growing",
-    "III-boundary-vanishing",
-    "IV",
-    "CONVERGENT",
-    "UNSUPPORTED",
-)
 
 _NORMALIZATIONS = {
     "I-sym": "r / rho^(n-1)",

@@ -1,11 +1,10 @@
-"""Monte Carlo engine for R_n = Q_n + M_n R_{n-1}, plus exact small oracles.
+"""Monte Carlo engine for R_n = Q_n + M_n R_{n-1}.
 
 Reproducibility contract
 ------------------------
 Every trajectory of a batch draws from counter-based Philox4x64 under
 one key, ``stream_key(master_seed) = splitmix64(master_seed + GOLDEN)``
-with GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 the usual finalizer
-(``splitmix64(master_seed)`` itself is reserved for reference samplers).
+with GOLDEN = 0x9E3779B97F4A7C15 and splitmix64 the usual finalizer.
 Trajectory i addresses its own part of the stream by counter: steps
 2p + 1 and 2p + 2 take the four words of the Philox block at counter
 (i + 1, p, 0, 0), in the order Q, M, Q, M. So each recursion step
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 # Generator is unused here but stays a module name: perfbench/tracing.py
@@ -60,16 +58,13 @@ import numpy as np
 from numpy.random import Generator, Philox  # noqa: F401
 
 from .errors import (
-    DomainError,
     ExponentOverflowError,
     InvalidArgumentsError,
     InvalidInputError,
-    InvalidModelError,
     PerpsimError,
-    TooLargeError,
     WorkerError,
 )
-from .models import DiscreteJoint, Drawn, PairModel, SignedUnit, analytic_moments
+from .models import Drawn, PairModel
 from .scaled import (
     EXPONENT_LIMIT,
     ScaledVector,
@@ -80,21 +75,9 @@ from .scaled import (
     vec_to_real,
 )
 
-__all__ = [
-    "BLOCK",
-    "ENUMERATION_GUARD",
-    "BatchResult",
-    "ExactDistribution",
-    "stream_key",
-    "reference_seed",
-    "run_batch",
-    "enumerate_exact",
-    "exact_moments_recursion",
-]
+__all__ = ["BLOCK", "BatchResult", "stream_key", "run_batch"]
 
 BLOCK = 2048  # trajectories per work unit; output does not depend on it
-
-ENUMERATION_GUARD = 10_000_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -144,11 +127,6 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 def stream_key(master_seed: int) -> int:
     """Philox key of the trajectory streams of a batch under ``master_seed``."""
     return _splitmix64(master_seed + _GOLDEN)
-
-
-def reference_seed(master_seed: int) -> int:
-    """Stream key reserved for limit-law reference samplers."""
-    return _splitmix64(master_seed)
 
 
 class BatchResult:
@@ -648,104 +626,3 @@ def run_batch(
     if lost:
         raise WorkerError(f"{'; '.join(causes)}; trajectories {', '.join(lost)} were not finished")
     return batch
-
-
-# ---------------------------------------------------------------------------
-# Exact oracles for small discrete models
-# ---------------------------------------------------------------------------
-
-_MERGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Finite law as sorted atoms; probabilities sum to 1 within 1e-12."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.probs <= 0.0):
-            raise InvalidInputError("atom probabilities must be positive")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError("atom probabilities must sum to 1")
-        if np.any(np.diff(self.values) < 0):
-            raise InvalidInputError("atoms must be sorted")
-
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.values.tolist(), self.probs.tolist()))
-
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(np.dot((self.values - mu) ** 2, self.probs))
-
-
-def _merge_atoms(vals: np.ndarray, probs: np.ndarray):
-    order = np.argsort(vals, kind="stable")
-    v = vals[order]
-    p = probs[order]
-    starts = np.empty(len(v), dtype=bool)
-    starts[0] = True
-    np.greater(np.diff(v), _MERGE_TOL, out=starts[1:])
-    idx = np.flatnonzero(starts)
-    psum = np.add.reduceat(p, idx)
-    vmean = np.add.reduceat(v * p, idx) / psum
-    return vmean, psum
-
-
-def enumerate_exact(model: PairModel, n: int) -> ExactDistribution:
-    """Exact law of R_n by full path enumeration (DP over merged atoms).
-
-    Guarded at s**n <= 10**7 paths for s atoms; nearby float path sums
-    are merged within 1e-12 spacing.
-    """
-    if not isinstance(model, DiscreteJoint):
-        raise InvalidModelError("exact enumeration needs a DiscreteJoint model")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    s = len(model.atoms)
-    if s**n > ENUMERATION_GUARD:
-        raise TooLargeError(
-            f"{s}**{n} paths exceed the {ENUMERATION_GUARD} state guard"
-        )
-    qs = np.array([q for (q, _), _ in model.atoms])
-    ms = np.array([m for (_, m), _ in model.atoms])
-    ps = np.array([p for _, p in model.atoms])
-
-    vals = np.array([0.0])
-    probs = np.array([1.0])
-    for _ in range(n):
-        vals = (qs[:, None] + ms[:, None] * vals[None, :]).ravel()
-        probs = (ps[:, None] * probs[None, :]).ravel()
-        vals, probs = _merge_atoms(vals, probs)
-    return ExactDistribution(vals, probs)
-
-
-def exact_moments_recursion(model: PairModel, n: int) -> tuple[float, float]:
-    """(E R_n, var R_n) via the moment recursion valid when M**2 = 1.
-
-    m_k = EQ + EM m_{k-1};  s_k = EQ^2 + 2 E(QM) m_{k-1} + s_{k-1}.
-    """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    mom = analytic_moments(model)
-    if isinstance(model, DiscreteJoint):
-        if not all(abs(abs(m) - 1.0) <= 1e-12 for (_, m), _ in model.atoms):
-            raise DomainError("moment recursion requires |M| = 1 a.s.")
-    elif not isinstance(model, SignedUnit):
-        raise DomainError("moment recursion requires |M| = 1 a.s.")
-    if not (-1.0 + 1e-12 < mom.mean_m < 1.0 - 1e-12):
-        raise DomainError("moment recursion requires -1 < EM < 1")
-    if not math.isfinite(mom.mean_q2):
-        raise DomainError("moment recursion requires finite EQ^2")
-
-    m_k = 0.0
-    s_k = 0.0
-    for _ in range(n):
-        s_k = mom.mean_q2 + 2.0 * mom.mean_qm * m_k + s_k
-        m_k = mom.mean_q + mom.mean_m * m_k
-    return m_k, s_k - m_k * m_k

@@ -3,7 +3,10 @@
 Only the KS statistic is computed, never p-values: acceptance thresholds
 throughout the project are set from the DKW inequality plus explicit
 slack, which keeps every tolerance transparent and derivable. Ties use
-the standard right-continuous ECDF convention.
+the standard right-continuous ECDF convention. Against a finite law,
+``ks_atoms`` reads the ECDF at the atoms alone, which is exact for
+samples that are atoms, as every sample of the oracle's R_n is while R
+stays inside the normal double range.
 """
 
 from __future__ import annotations
@@ -84,21 +87,17 @@ def ks_two_sample(a, b) -> float:
 
 def ks_atoms(samples, atoms: np.ndarray, probs: np.ndarray) -> float:
     """sup |ECDF - F| against a law F on the sorted ``atoms``, of
-    probabilities ``probs``, for samples on the atoms.
+    probabilities ``probs``, for samples that are atoms.
 
-    The ECDF is read a quarter of the smallest atom gap (0.5 for a single
-    atom, and 1e-12 at least) to each side of every atom, so a sample that
-    lies off its atom by less than that counts as on it.
+    Both CDFs are right-continuous steps at the atoms, 0 left of the
+    first, so the sup is met at an atom, where the ECDF is read. A sample
+    off the atoms is counted at the next atom up. The oracle's samples are
+    atoms of ``limits.exact_laws`` while R stays inside the normal double
+    range, where the engine's steps are the enumeration's doubles.
     """
     xs = np.sort(samples)
-    n = xs.size
-    gaps = np.diff(atoms)
-    eps = float(gaps.min()) / 4.0 if gaps.size else 0.5
-    eps = max(eps, 1e-12)
-    cum = np.cumsum(probs)
-    # both CDFs are steps at the atoms, so their distance is read there
-    ecdf_at = np.searchsorted(xs, atoms + eps, side="left") / n
-    return float(np.abs(ecdf_at - cum).max())
+    ecdf = np.searchsorted(xs, atoms, side="right") / xs.size
+    return float(np.abs(ecdf - np.cumsum(probs)).max())
 
 
 def dkw_bound(n: int, delta: float) -> float:

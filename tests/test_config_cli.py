@@ -678,8 +678,8 @@ class TestOracleCommand:
         # the calibrated gate still rejects samples against the law of a
         # different model (P(M = +1) = 0.55 instead of 1/2)
         wrong = cli.DiscreteJoint((((1.0, 1.0), 0.55), ((1.0, -1.0), 0.45)))
-        real = cli.enumerate_exact
-        monkeypatch.setattr(cli, "enumerate_exact", lambda model, n: real(wrong, n))
+        real = cli.exact_laws
+        monkeypatch.setattr(cli, "exact_laws", lambda model, checkpoints: real(wrong, checkpoints))
         path = write_config(tmp_path, self.oracle_config(samples=10_000))
         out = tmp_path / "out"
         code = main(["oracle", "--config", str(path), "--out", str(out), "--quiet"])
@@ -708,19 +708,36 @@ class TestOracleCommand:
         )
         assert code == 2
 
-    def test_guard_exits_two(self, tmp_path):
+    def test_guard_exits_two(self, tmp_path, capsys):
+        # 3163 atoms of distinct Q: the second step would map 3163**2 live
+        # atoms, past the guard, which stops it before they are made
+        k = 3163
         cfg = self.oracle_config(
             model={
                 "family": "discrete_joint",
-                "atoms": [[1.0, 2.0, 0.4], [0.0, 0.5, 0.3], [-1.0, -1.0, 0.3]],
+                "atoms": [[float(q), 2.0, 1.0 / k] for q in range(k)],
             },
-            checkpoints=[30],
+            checkpoints=[2],
         )
         path = write_config(tmp_path, cfg)
         code = main(
             ["oracle", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
         )
         assert code == 2
+        assert "step 2 of 2 maps 3163 live atoms" in capsys.readouterr().err
+
+    def test_double_range_exits_two(self, tmp_path, capsys):
+        # R_n reaches 2**1024 - 1 = inf with a positive probability at n = 1024
+        cfg = self.oracle_config(
+            model={"family": "discrete_joint", "atoms": [[1.0, 2.0, 0.5], [1.0, 0.0, 0.5]]},
+            checkpoints=[10, 1100],
+        )
+        path = write_config(tmp_path, cfg)
+        code = main(
+            ["oracle", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        )
+        assert code == 2
+        assert "step 1024 of 1100 leaves the double range" in capsys.readouterr().err
 
     def test_tiny_sample_smoke(self, tmp_path):
         # loose-bound smoke path: completes and reports either way

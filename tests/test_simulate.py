@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -45,16 +46,14 @@ from perpsim.scaled import (
     vec_mul,
     vec_to_real,
 )
-from perpsim.simulate import (
-    BLOCK,
-    RENORM,
+from perpsim.limits import (
+    ENUMERATION_GUARD,
     enumerate_exact,
+    exact_laws,
     exact_moments_recursion,
-    reference_seed,
-    run_batch,
-    stream_key,
 )
-from perpsim.stats import dkw_bound
+from perpsim.simulate import BLOCK, RENORM, run_batch, stream_key
+from perpsim.stats import dkw_bound, ks_atoms
 
 POINT_MASS_12 = DiscreteJoint((((1.0, 2.0), 1.0),))
 FAIR_SIGN = DiscreteJoint((((1.0, 1.0), 0.5), ((1.0, -1.0), 0.5)))
@@ -706,11 +705,56 @@ class TestEnumerateExact:
         assert law.atoms == [(-3.0, 0.75), (1.0, 0.25)]
 
     def test_guard(self):
-        model = DiscreteJoint(
-            (((1.0, 2.0), 0.4), ((0.0, 0.5), 0.3), ((-1.0, -1.0), 0.3))
-        )
-        with pytest.raises(TooLargeError):
-            enumerate_exact(model, 20)
+        # 3163 atoms of distinct Q: step 2 would map 3163 live atoms by
+        # 3163, past the guard, and it stops before making them
+        k = math.isqrt(ENUMERATION_GUARD) + 1
+        model = DiscreteJoint(tuple(((float(q), 2.0), 1.0 / k) for q in range(k)))
+        assert len(enumerate_exact(model, 1).values) == k
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="step 2 of 20 maps 3163 live atoms"):
+                enumerate_exact(model, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # step 2's images alone would take 80 MB
+
+    def test_guard_counts_live_atoms(self):
+        # R_n of the fair sign law lives on n points, far below 2**n paths
+        law = enumerate_exact(FAIR_SIGN, 1000)
+        assert len(law.values) == 1000
+        mean, var = exact_moments_recursion(FAIR_SIGN, 1000)
+        assert abs(mean - law.mean()) < 1e-10
+        assert abs(var - law.variance()) < 1e-10
+
+    def test_many_atoms_in_time(self):
+        # step 2 maps 1000 live atoms by 1000 maps to the 10**6 distinct
+        # atoms i + 1000 j. A step costs maps x atoms x log, about 0.5 s
+        # on a 2-core host; merging map by map into the growing atoms, it
+        # cost maps**2 x atoms, 12 s
+        k = 1000
+        model = DiscreteJoint(tuple(((float(q), float(k)), 1.0 / k) for q in range(k)))
+        start = time.perf_counter()
+        law = enumerate_exact(model, 2)
+        assert time.perf_counter() - start < 2.5
+        assert len(law.values) == k * k
+
+    def test_double_range_exceeded(self):
+        # R_n takes 2**k - 1 with probability 2**-(k+1): at k = 1024 it is
+        # inf, with a probability that is still positive, and M = 0 would
+        # make 1 + 0 * inf = NaN of it
+        model = DiscreteJoint((((1.0, 2.0), 0.5), ((1.0, 0.0), 0.5)))
+        assert enumerate_exact(model, 1023).values[-1] == 2.0**1023 - 1.0
+        with pytest.raises(TooLargeError, match="step 1024 of 1100 leaves the double range"):
+            enumerate_exact(model, 1100)
+
+    def test_laws_at_checkpoints(self):
+        # one run up to the last checkpoint gives each checkpoint's law
+        model = DiscreteJoint((((1.0, 2.0), 0.3), ((-1.0, 0.5), 0.4), ((2.0, -1.5), 0.3)))
+        laws = exact_laws(model, [7, 2, 5])
+        assert sorted(laws) == [2, 5, 7]
+        for n, law in laws.items():
+            assert law.atoms == enumerate_exact(model, n).atoms
 
     def test_requires_discrete(self):
         with pytest.raises(InvalidModelError):
@@ -732,7 +776,7 @@ class TestEnumerateExact:
         got = law.atoms
         assert len(got) == len(want)
         for (gv, gp), (wv, wp) in zip(got, want):
-            assert gv == pytest.approx(wv, abs=1e-12)
+            assert gv == wv  # the same doubles, q + (m r)
             assert gp == pytest.approx(wp, abs=1e-12)
 
 
@@ -785,10 +829,26 @@ class TestDistributionalIdentity:
         batch = run_batch(model, list(range(1, 8)), n_samples, master_seed=818)
         for n in range(1, 8):
             law = enumerate_exact(model, n)
-            values = np.sort(batch.to_reals(n))
-            cum = np.cumsum(law.probs)
-            ecdf = np.searchsorted(values, law.values + 1e-9) / n_samples
-            assert np.abs(ecdf - cum).max() <= bound
+            assert ks_atoms(batch.to_reals(n), law.values, law.probs) <= bound
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            FAIR_SIGN,
+            DiscreteJoint((((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.25), ((2.0, -1.0), 0.25))),
+            DiscreteJoint((((1.0, 2.0), 0.3), ((-1.0, 0.5), 0.4), ((2.0, -1.5), 0.3))),
+            # with an M = 0 atom, which restarts R at Q
+            DiscreteJoint((((0.1, 3.0), 0.3), ((0.4, 0.0), 0.2), ((-0.7, -1.3), 0.5))),
+        ],
+        ids=["fair_sign", "dependent_unit", "general", "non_dyadic_m0"],
+    )
+    def test_samples_are_atoms(self, model):
+        # the engine's doubles are the enumeration's: every sample is an atom
+        checkpoints = list(range(1, 13))
+        batch = run_batch(model, checkpoints, 2000, master_seed=24)
+        for n in checkpoints:
+            law = enumerate_exact(model, n)
+            assert np.isin(batch.to_reals(n), law.values).all(), n
 
 
 class TestSeedDerivation:
@@ -801,10 +861,8 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("seed", sorted(load_config(p).seed for p in CONFIGS.glob("*.json")))
     def test_stream_key_is_not_reference_seed(self, seed):
-        # with one key, pair 0 of every trajectory would repeat the first
-        # blocks of the reference sampler's stream
+        # the key is splitmix64 of the seed plus GOLDEN, not of the seed itself
         assert stream_key(seed) == contract_key(seed)
-        assert stream_key(seed) != reference_seed(seed)
 
     def test_trajectory_stream_ignores_count(self):
         # trajectory i draws from counters (i + 1, p) whatever N is, so its

@@ -98,17 +98,18 @@ def exact_ecdf(sample, x, left=False):
 
 @st.composite
 def atom_laws(draw):
-    """(atoms, probs, samples): one to five sorted atoms, spaced a multiple
-    of a step of 1.5e-12 (enumerate_exact merges atoms within 1e-12), 0.25
-    or 1e6 apart, with probabilities; samples on the atoms, with ties, and
-    on every atom at least once when the last flag is drawn."""
-    step = draw(st.sampled_from([1.5e-12, 0.25, 1e6]))
+    """(atoms, probs, samples): one to five sorted atoms, 1 plus a multiple
+    of a step of 2**-52 (doubles one or two units in the last place apart:
+    enumerate_exact merges only equal ones), 0.25 or 1e6, with
+    probabilities; samples on the atoms, with ties, and on every atom at
+    least once when the last flag is drawn."""
+    step = draw(st.sampled_from([2.0**-52, 0.25, 1e6]))
     ks = sorted(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True)))
     weights = draw(st.lists(st.integers(1, 9), min_size=len(ks), max_size=len(ks)))
     picks = draw(st.lists(st.integers(0, len(ks) - 1), min_size=1, max_size=30))
     if draw(st.booleans()):
         picks += range(len(ks))
-    atoms = [k * step for k in ks]
+    atoms = [1.0 + k * step for k in ks]
     return atoms, [w / sum(weights) for w in weights], [atoms[i] for i in picks]
 
 
