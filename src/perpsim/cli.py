@@ -55,6 +55,7 @@ from .errors import (
 )
 from .limits import exact_laws, exact_moments_recursion
 from .models import (
+    GAMMA_CASES,
     DiscreteJoint,
     RegimeReport,
     analytic_moments,
@@ -81,8 +82,6 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RUN_ERROR = 4
-
-_GAMMA_CASES = ("III-evt", "III-boundary-growing")
 
 
 def _fmt(x) -> str:
@@ -212,7 +211,7 @@ def _rows(cfg: RunConfig, batch, distance, regime: RegimeReport | None):
         if regime is None:
             gamma, values = None, batch.to_reals(n)
         else:
-            gamma = tail_quantile(cfg.model, n) if regime.case in _GAMMA_CASES else None
+            gamma = tail_quantile(cfg.model, n) if regime.case in GAMMA_CASES else None
             values = normalize_samples(regime, batch.vectors(n), n, gamma)
         row = {"n": n, **distance(values, n)}
         stats = summary(values)

@@ -35,7 +35,7 @@ Q laws::
     {"family": "rademacher", "p": (0,1)}
     {"family": "lognormal", "mean": float, "var": >0}
     {"family": "log_pareto", "alpha": (-2,0), "t0": >0}
-    {"family": "log_boundary", "ell": "growing"|"vanishing", "t0": float}
+    {"family": "log_boundary", "ell": "growing"|"vanishing", "t0": >1}
 """
 
 from __future__ import annotations

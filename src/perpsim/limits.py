@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import (DomainError, InvalidInputError, InvalidModelError, TooLargeError,
                      UnavailableError, UnsupportedError)
-from .models import (DiscreteJoint, PairModel, QConstant, RegimeReport, ScaledRademacher,
-                     SignedUnit, analytic_moments)
+from .models import (GAMMA_CASES, DiscreteJoint, PairModel, QConstant, RegimeReport,
+                     ScaledRademacher, SignedUnit, analytic_moments)
 from .stats import dkw_bound
 
 __all__ = [
@@ -211,7 +211,7 @@ def limit_for(regime: RegimeReport, model: PairModel) -> LimitLaw:
         return LogNormalSymmetric()
     if case in ("III-clt", "III-boundary-vanishing"):
         return ExpHalfNormal()
-    if case in ("III-evt", "III-boundary-growing"):
+    if case in GAMMA_CASES:
         return ExpFrechet(regime.alpha)
     if case == "IV":
         return Gaussian(regime.beta2)

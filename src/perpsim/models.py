@@ -57,6 +57,7 @@ __all__ = [
     "analytic_moments",
     "classify",
     "tail_quantile",
+    "GAMMA_CASES",
     "beta_squared",
     "sign_gap",
 ]
@@ -269,13 +270,14 @@ class QLogPareto(_LogLaw):
 
 @dataclass(frozen=True)
 class QLogBoundary(_LogLaw):
-    """Q = e^Y with tail t**-2 * ell(t) at the alpha = -2 boundary.
+    """Q = e^Y with tail P(Y > t) = t**-2 * ell(t) at the alpha = -2 boundary.
 
     ell is declared, not estimated: "growing" means ell(t) = ln t (the
     extreme-value normalization still applies), "vanishing" means
     ell(t) = 1/ln t (the random-walk normalization takes over). The
     undeclarable ell ~ const case has no implemented limit and is
-    rejected at classification.
+    rejected at classification. Draws and gamma_n come from one inverse
+    of the tail, ``logs``.
     """
 
     ell: str
@@ -284,15 +286,13 @@ class QLogBoundary(_LogLaw):
     def __post_init__(self) -> None:
         if self.ell not in ("growing", "vanishing"):
             raise InvalidModelError("ell must be 'growing' or 'vanishing'")
-        if not math.isfinite(self.t0):
-            raise InvalidModelError("t0 must be finite")
+        if not (1.0 < self.t0 < math.inf):
+            raise InvalidModelError(f"boundary tail needs finite t0 > 1, got {self.t0}")
         if self.ell == "growing" and self.t0 < _SQRT_E:
             # ln(t)/t^2 only decreases past sqrt(e)
             raise InvalidModelError("growing boundary tail needs t0 >= sqrt(e)")
         if self.ell == "vanishing" and self.t0 * self.t0 * math.log(self.t0) < 1.0:
-            raise InvalidModelError(
-                "vanishing boundary tail needs t0^2 ln(t0) >= 1"
-            )
+            raise InvalidModelError("vanishing boundary tail needs t0^2 ln(t0) >= 1")
 
     def tail(self, t: np.ndarray | float):
         t = np.asarray(t, dtype=float)
@@ -300,34 +300,41 @@ class QLogBoundary(_LogLaw):
             return np.log(t) / (t * t)
         return 1.0 / (t * t * np.log(t))
 
-    def _invert_tail(self, u: np.ndarray) -> np.ndarray:
-        """Leftmost t >= t0 with tail(t) <= u, by vectorized bisection."""
-        u = np.asarray(u, dtype=float)
-        lo = np.full(u.shape, self.t0)
-        hi = np.full(u.shape, 2.0 * self.t0)
-        while True:
-            open_ = self.tail(hi) > u
-            if not np.any(open_):
-                break
-            hi = np.where(open_, hi * 2.0, hi)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            above = self.tail(mid) > u
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        return 0.5 * (lo + hi)
-
     def logs(self, u: np.ndarray) -> np.ndarray:
-        """The logs, written over u."""
-        h0 = float(self.tail(self.t0))
-        interior = u < h0
-        tails = self._invert_tail(u[interior]) if np.any(interior) else 0.0
+        """The leftmost t >= t0 with tail(t) <= u, written over u: t0 where
+        u >= tail(t0), else by Lambert W (Corless et al. 1996) in s = t^2.
+
+        Vanishing: s ln s = 2/u, so s = 2 / (u W_0(2/u)). Growing:
+        ln s = 2us, so s = (1 + q) / (2u) for q = -1 - W_-1(-2u), the root
+        q > 0 of q - log1p(q) = d = -ln(2eu). Near the branch point
+        u -> 1/(2e) scipy's W_-1 errs by up to 2e-5 in t, so q is clamped into
+        [p, p + p^2/3 + 11p^3/72], p = sqrt(2d), which holds the root, and
+        three Newton steps finish it. lambertw loads at the first draw.
+        """
+        from scipy.special import lambertw
+
+        inside = u < self.tail(self.t0)
+        v = u[inside]
+        if self.ell == "vanishing":
+            s = 2.0 / (v * lambertw(2.0 / v).real)
+        else:
+            # d > 0, so that q > 0 and Newton's slope q / (1 + q) is too
+            d = np.maximum(-np.log(2.0 * v) - 1.0, np.finfo(float).tiny)
+            p = np.sqrt(2.0 * d)
+            q = np.fmax(-1.0 - lambertw(-2.0 * v, -1).real, p)
+            q = np.fmin(q, p + p * p / 3.0 + 11.0 / 72.0 * p**3, out=q)
+            for _ in range(3):
+                q -= (q - np.log1p(q) - d) * (1.0 + q) / q
+            s = (1.0 + q) / (2.0 * v)
         u[...] = self.t0
-        u[interior] = tails
+        u[inside] = np.maximum(np.sqrt(s, out=s), self.t0, out=s)
         return u
 
     def moments(self) -> tuple[float, float]:
         return math.inf, math.inf
+
+    def tail_quantile(self, n: int) -> float:
+        return float(self.logs(np.array([1.0 / n]))[0])
 
 
 QLaw = Union[QConstant, QRademacher, QLogNormal, QLogPareto, QLogBoundary]
@@ -550,6 +557,8 @@ _NORMALIZATIONS = {
     "CONVERGENT": "none",
     "UNSUPPORTED": "none",
 }
+# the cases normalized by the tail quantile gamma_n (``tail_quantile``)
+GAMMA_CASES = tuple(case for case, rule in _NORMALIZATIONS.items() if "gamma_n" in rule)
 
 
 @dataclass(frozen=True)
@@ -713,23 +722,14 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
 
 
 def tail_quantile(model: PairModel, n: int) -> float:
-    """gamma_n = inf{t : P(Y > t) <= 1/n} for the declared Q tail.
-
-    Closed form for the Pareto family; for the boundary families, the
-    same bracketing bisection that draws Q (64 halvings of the bracket).
-    """
+    """gamma_n = inf{t : P(Y > t) <= 1/n} for the declared Q tail, by the
+    law's own ``tail_quantile``: Pareto in closed form, boundary by Lambert W."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     q_law = getattr(model, "q_law", None)
-    if isinstance(q_law, QLogPareto):
+    if isinstance(q_law, (QLogPareto, QLogBoundary)):
         return q_law.tail_quantile(n)
-    if isinstance(q_law, QLogBoundary):
-        if float(q_law.tail(q_law.t0)) <= 1.0 / n:
-            return q_law.t0
-        return float(q_law._invert_tail(1.0 / n))
-    raise UnsupportedError(
-        f"{type(model).__name__} declares no tail function for Q"
-    )
+    raise UnsupportedError(f"{type(model).__name__} declares no tail function for Q")
 
 
 def beta_squared(moments: Moments) -> float:

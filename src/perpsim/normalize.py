@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentsError, InvalidInputError, NativeRangeError
-from .models import RegimeReport
+from .models import GAMMA_CASES, RegimeReport
 from .scaled import ScaledVector, vec_from_real, vec_log_abs, vec_mul, vec_to_real
 
 __all__ = ["normalize_samples"]
@@ -66,7 +66,7 @@ def _rho_power_factor(rho: float, n: int) -> ScaledVector:
 def _power_args(regime: RegimeReport, n: int, gamma_n: float | None):
     """Exponent divisor and log-shift for the power-map cases."""
     case = regime.case
-    if case in ("III-evt", "III-boundary-growing"):
+    if case in GAMMA_CASES:
         if gamma_n is None:
             raise InvalidArgumentsError(f"{case} normalization needs gamma_n")
         return gamma_n, 0.0

@@ -17,6 +17,7 @@ import pytest
 from perpsim import limits as lim
 from perpsim.cli import main
 from perpsim.models import (
+    GAMMA_CASES,
     DiscreteJoint,
     LogNormalPair,
     QConstant,
@@ -50,11 +51,7 @@ def normalized(model, checkpoints, count, seed, **kw):
     batch = run_batch(model, checkpoints, count, seed, **kw)
     out = {}
     for n in checkpoints:
-        gamma = (
-            tail_quantile(model, n)
-            if reg.case in ("III-evt", "III-boundary-growing")
-            else None
-        )
+        gamma = tail_quantile(model, n) if reg.case in GAMMA_CASES else None
         out[n] = normalize_samples(reg, batch.vectors(n), n, gamma)
     return reg, out
 

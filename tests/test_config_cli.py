@@ -287,6 +287,14 @@ class TestClassifyCommand:
         assert code == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("t0", [0.0, -3.0])
+    def test_boundary_t0_not_above_one_exits_two(self, tmp_path, capsys, t0):
+        q = {"family": "log_boundary", "ell": "vanishing", "t0": t0}
+        path = write_config(tmp_path, base_config(model={**LOGNORMAL_PAIR, "q": q}))
+        code = main(["classify", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid model.q: boundary tail needs finite t0 > 1, got {t0}\n"
+
     def test_constant_m_exits_two(self, tmp_path):
         cfg = base_config(
             model={"family": "discrete_joint", "atoms": [[1.0, 2.0, 1.0]]}

@@ -12,6 +12,7 @@ import numpy as np
 
 from perpsim import limits as lim
 from perpsim.models import (
+    GAMMA_CASES,
     DiscreteJoint,
     LogNormalPair,
     QLogBoundary,
@@ -30,11 +31,7 @@ def pipeline(model, checkpoints, count, seed):
     batch = run_batch(model, checkpoints, count, seed)
     out = {}
     for n in checkpoints:
-        gamma = (
-            tail_quantile(model, n)
-            if reg.case in ("III-evt", "III-boundary-growing")
-            else None
-        )
+        gamma = tail_quantile(model, n) if reg.case in GAMMA_CASES else None
         out[n] = normalize_samples(reg, batch.vectors(n), n, gamma)
     return reg, law, out
 

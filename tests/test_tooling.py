@@ -233,6 +233,13 @@ after_load = loaded("scipy.special")
 classified = [(main(["classify", "--config", path, "--out", f"{out}/classify", "--quiet"]),
                loaded("scipy.special"))
               for path in sorted(glob.glob("configs/*.json"))]
+boundary = []
+for ell in ("growing", "vanishing"):
+    q = {"family": "log_boundary", "ell": ell, "t0": 2.0}
+    json.dump(dict(cfg, model={"family": "lognormal_pair", "mu_x": 0.0, "v2": 1.0, "q": q}),
+              open(f"{out}/{ell}.json", "w"))
+    boundary.append((main(["classify", "--config", f"{out}/{ell}.json", "--out", f"{out}/classify",
+                           "--quiet"]), loaded("scipy.special")))
 
 class RecordingPool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers, **kwargs):
@@ -245,24 +252,28 @@ simulate._cpu_count = lambda: 2
 pooled, inline = (simulate.run_batch(lognormal, [3], simulate.BLOCK + 1, 7, workers=w).vectors(3)
                   for w in (2, 1))
 same = [a.tobytes() == b.tobytes() for a, b in zip(pooled, inline)]
-print(json.dumps([codes, case1_modules, after_load, classified, pools, same]))
+print(json.dumps([codes, case1_modules, after_load, classified, boundary, pools, same]))
 """
 
 
 def test_case_i_runs_import_no_scipy_and_no_pool(tmp_path):
     # scipy.special and multiprocessing are half of a fresh run's start-up;
-    # Case I needs neither, and loading or classifying any bundled config
-    # needs no scipy: a lognormal law imports it at its first draw. A pool
+    # Case I needs neither, and loading or classifying any bundled config or
+    # a log_boundary law of either ell needs no scipy: a lognormal law
+    # imports ndtri, and a boundary law lambertw, at its first draw. A pool
     # of two real processes runs a lognormal law before this process has
     # drawn any normal: run_batch draws one cell before the fork, so the
     # workers inherit scipy.special, and their snapshots equal a
     # one-process run's
     proc = run_script(IMPORTS_SCRIPT, str(tmp_path))
-    codes, case1_modules, after_load, classified, pools, same = json.loads(proc.stdout.splitlines()[-1])
+    codes, case1_modules, after_load, classified, boundary, pools, same = json.loads(
+        proc.stdout.splitlines()[-1]
+    )
     assert codes == [0, 0, 0, 0]
     assert case1_modules == [False, False, False]
     assert not after_load
     assert classified == [[0, False]] * 7
+    assert boundary == [[0, False]] * 2  # lambertw loads at the first draw
     assert pools == [[2, True]]
     assert same == [True, True]
 
