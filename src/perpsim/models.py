@@ -19,7 +19,7 @@ feeds Q, second feeds M; jointly-atomic families use the first and
 discard the second). Fixed consumption is what makes trajectory streams
 reproducible and chunkable. ``scaled_draws`` returns the pairs of a slab
 of steps as ``Draws``: each variable as its family made it, the logs Y of
-Q = e^Y or the exact values, and for a positive law the logs of both.
+Q = e^Y or the exact values, and nothing else.
 The draws are written over the uniforms they are made from (a caller that
 keeps its uniforms passes a copy), so the engine draws into its own
 buffers; ``reads`` names the uniforms a family reads.
@@ -121,23 +121,16 @@ class Drawn(NamedTuple):
         return (vec_from_log if self.kind == "log" else vec_from_real)(data)
 
 
-class Draws:
-    """The (q, m) draws of a slab of steps.
+class Draws(NamedTuple):
+    """The (q, m) draws of a slab of steps: the ``Drawn`` the family made."""
 
-    ``q`` and ``m`` are the ``Drawn`` the family made. ``logs`` is (ln Q,
-    ln M) as the family computed them on the way; None for a law that can
-    draw Q <= 0 or M <= 0. The engine builds W's max term from them, and
-    asks for them (``scaled_draws(..., logs=True)``) only when it tracks W:
-    a family whose logs take arrays of their own makes them only then.
-    """
-
-    def __init__(self, q: Drawn, m: Drawn, logs=None) -> None:
-        self.q, self.m, self.logs = q, m, logs
+    q: Drawn
+    m: Drawn
 
 
 class _QLaw:
     """Q marginal: ``draw`` gives the draws of a slab of uniforms, written
-    over them, and, for Q > 0, their logs."""
+    over them."""
 
     reads = True  # the draws read their uniforms
 
@@ -147,9 +140,8 @@ class _LogLaw(_QLaw):
 
     positive = True
 
-    def draw(self, u: np.ndarray):
-        y = self.logs(u)
-        return Drawn(y, "log"), y
+    def draw(self, u: np.ndarray) -> Drawn:
+        return Drawn(self.logs(u), "log")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +161,9 @@ class QConstant(_QLaw):
 
     reads = False
 
-    def draw(self, u: np.ndarray):
-        """The value and ln Q, broadcast to the shape of u; no log for a
-        constant <= 0."""
-        logs = np.broadcast_to(math.log(self.value), u.shape) if self.positive else None
-        return Drawn(np.broadcast_to(self.value, u.shape), "real"), logs
+    def draw(self, u: np.ndarray) -> Drawn:
+        """The value, broadcast to the shape of u."""
+        return Drawn(np.broadcast_to(self.value, u.shape), "real")
 
     def moments(self) -> tuple[float, float]:
         return self.value, self.value * self.value
@@ -192,8 +182,8 @@ class QRademacher(_QLaw):
     def __post_init__(self) -> None:
         _validate_prob(self.p, "Rademacher p")
 
-    def draw(self, u: np.ndarray):
-        return _signs(u, self.p, 1.0), None
+    def draw(self, u: np.ndarray) -> Drawn:
+        return _signs(u, self.p, 1.0)
 
     def moments(self) -> tuple[float, float]:
         return 2.0 * self.p - 1.0, 1.0
@@ -377,23 +367,18 @@ class DiscreteJoint:
 
     reads = (True, False)
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, logs: bool = False):
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray) -> Draws:
         # joint atom chosen by the Q-slot uniform; the M-slot one is unused,
-        # and takes the M values. The logs are two fresh (k, B) arrays
+        # and takes the M values
         qs, ms, cum = self._tables()
         q, m = u_q, u_m
-        tables = [(qs, q), (ms, m)]
-        ln = None
-        if logs and self.positive:
-            ln = (np.empty(q.shape), np.empty(q.shape))
-            tables += [(np.log(qs), ln[0]), (np.log(ms), ln[1])]
         # a row at a time, so the atom indices take O(B) memory
         width = q.shape[-1]
         for j, row in enumerate(q.reshape(-1, width)):
             idx = np.searchsorted(cum, row, side="right")
-            for table, out in tables:
+            for table, out in ((qs, q), (ms, m)):
                 np.take(table, idx, out=out.reshape(-1, width)[j], mode="clip")
-        return Draws(Drawn(q, "real"), Drawn(m, "real"), ln)
+        return Draws(Drawn(q, "real"), Drawn(m, "real"))
 
     @property
     def positive(self) -> bool:
@@ -426,9 +411,8 @@ class ScaledRademacher(_IndependentQ):
                 "ScaledRademacher supports Q constant or Rademacher"
             )
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        q, _ = self.q_law.draw(u_q)
-        return Draws(q, _signs(u_m, self.p, self.rho))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray) -> Draws:
+        return Draws(self.q_law.draw(u_q), _signs(u_m, self.p, self.rho))
 
     positive = False
 
@@ -451,13 +435,11 @@ class LogNormalPair(_IndependentQ):
                 "LogNormalPair takes a positive or constant Q family"
             )
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray, logs: bool = False):
-        # the logs are views of the draws, so they come whether asked or not
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray) -> Draws:
         x = _ndtri(u_m, out=u_m)
         x *= math.sqrt(self.v2)
         x += self.mu_x
-        q, y = self.q_law.draw(u_q)
-        return Draws(q, Drawn(x, "log"), None if y is None else (y, x))
+        return Draws(self.q_law.draw(u_q), Drawn(x, "log"))
 
     @property
     def positive(self) -> bool:
@@ -476,9 +458,8 @@ class SignedUnit(_IndependentQ):
         if not isinstance(self.q_law, _FINITE_VAR_QLAWS):
             raise InvalidModelError("SignedUnit requires a finite-variance Q")
 
-    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray):
-        q, _ = self.q_law.draw(u_q)
-        return Draws(q, _signs(u_m, self.p_m, 1.0))
+    def scaled_draws(self, u_q: np.ndarray, u_m: np.ndarray) -> Draws:
+        return Draws(self.q_law.draw(u_q), _signs(u_m, self.p_m, 1.0))
 
     positive = False
 
@@ -596,6 +577,12 @@ def _m_constant(model: PairModel) -> bool:
     return False  # other families force a non-degenerate M at construction
 
 
+def _q_zero(model: PairModel) -> bool:
+    if isinstance(model, DiscreteJoint):
+        return all(q == 0.0 for (q, _), _ in model.atoms)
+    return isinstance(model.q_law, QConstant) and model.q_law.value == 0.0
+
+
 def _abs_m_constant(model: PairModel) -> float | None:
     """rho when |M| is a.s. constant, else None."""
     if isinstance(model, ScaledRademacher):
@@ -609,12 +596,6 @@ def _abs_m_constant(model: PairModel) -> float | None:
             return 0.5 * (lo + hi)
         return None
     return None
-
-
-def _q_positive(model: PairModel) -> bool:
-    if isinstance(model, DiscreteJoint):
-        return all(q > 0 for (q, _), _ in model.atoms)
-    return model.q_law.positive
 
 
 def _report(case: str, model: PairModel, mu: float, v: float, **params) -> RegimeReport:
@@ -635,6 +616,8 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
             "M is a.s. constant; the recursion reduces to scaled i.i.d. sums "
             "and none of the renormalizations here apply"
         )
+    if _q_zero(model):
+        raise InvalidModelError("Q is a.s. 0, so R_n = 0 for every n and no limit law applies")
     mu, v2 = moments.mu, moments.v2
     v = math.sqrt(v2) if v2 > 0 else 0.0
 
@@ -682,7 +665,7 @@ def classify(moments: Moments, model: PairModel) -> RegimeReport:
                 "limit law; not supported"
             ),
         )
-    if not _q_positive(model):
+    if not model.positive:  # M > 0 here, so just when Q > 0
         return _report(
             "UNSUPPORTED",
             model,

@@ -41,8 +41,9 @@ step with ``vec_add``/``vec_mul`` and reruns the sub-block natively from
 there, until no inexact step is left. So every snapshot is bit-identical
 to the scaled recursion ``R = vec_add(q, vec_mul(m, R))`` run one step at
 a time. With ``track_w`` it also keeps W_n = ln max_k Q_k prod_{j<k} M_j,
-a Case III diagnostic, in native floats, built from the logs the family
-drew (``Draws.logs``), not from the ScaledVectors. The tests replay
+a Case III diagnostic, in native floats, built from the draws themselves
+by ``_log`` (a log law's logs as drawn, the log of exact values, a
+constant's ``math.log``), not from the ScaledVectors. The tests replay
 single trajectories from their own streams in exact rational and mpmath
 arithmetic and compare them with ``run_batch``.
 """
@@ -397,6 +398,17 @@ def _advance(r, E, q, m, work: _Work) -> ScaledVector:
         r_end[todo], E_end[todo] = h[-1], E
 
 
+def _log(d: Drawn, out: np.ndarray) -> np.ndarray:
+    """ln of the positive draws of d: a log law's logs as drawn, else the
+    log of the exact values in out; a constant's (rows of stride 0) is
+    ``math.log`` of its value, broadcast."""
+    if d.kind == "log":
+        return d.data
+    if d.data.strides[0] == 0:
+        return np.broadcast_to(math.log(d.data[0, 0]), d.shape)
+    return np.log(d.data, out=out)
+
+
 def _run_block(
     model: PairModel,
     cps: tuple[int, ...],
@@ -440,8 +452,6 @@ def _run_block(
     u = raw.view(np.float64)
     work = _Work(B, cells[_RAW_WORDS * B : _BLOCK_WORDS * B].view(np.float64))
     planes = [s for s, read in enumerate(model.reads) if read]
-    # W's logs are asked for only when W is tracked, so only of a positive law
-    draw_kw = {"logs": True} if track_w else {}
 
     t = 0
     next_cp = iter(cps)
@@ -464,7 +474,7 @@ def _run_block(
             _uniforms(raw[s, : 2 * (p1 - p0)])
         rows = slice(t % 2, t % 2 + k)  # after an odd checkpoint, from the second step of pair p0
         try:
-            draws = model.scaled_draws(u[0, rows], u[1, rows], **draw_kw)
+            draws = model.scaled_draws(u[0, rows], u[1, rows])
             R = _advance(r, E, draws.q, draws.m, work)
         except ExponentOverflowError as exc:  # from vec_from_log, at row j, column i
             j, i = exc.index
@@ -472,21 +482,17 @@ def _run_block(
                 f"trajectory {lo + i}: draw {exc} at n={t + j + 1}"
             ) from None
         if track_w:
-            # W from the logs the draws were made from, with ln prod_{j<k} M_j
-            # summed one row at a time, as W's roundings need, in the step's
-            # buffer work.q
-            ln_q, ln_m = draws.logs
+            # W from the draws' logs, with ln prod_{j<k} M_j summed one row at
+            # a time, as W's roundings need, in the step's buffer work.q;
+            # work.m, free once the step is done, takes each log in turn
+            ln_m = _log(draws.m, work.m[:k])
             lp = work.q[:k]
             lp[0] = logprod
             for j in range(k - 1):
                 np.add(lp[j], ln_m[j], out=lp[j + 1])
             logprod = lp[-1] + ln_m[-1]
-            lp += ln_q
+            lp += _log(draws.q, work.m[:k])
             np.maximum(w, lp.max(axis=0), out=w)
-            del ln_q, ln_m
-        # let this sub-block's draws go before the next are made: a discrete
-        # law's logs are arrays of their own
-        del draws
         r, E = R
         t += k
         if t == cp:

@@ -347,12 +347,40 @@ class TestEdgeLaws:
 
     @pytest.mark.parametrize("command", ["classify", "verify"])
     def test_beta2_zero_exits_two(self, tmp_path, capsys, command):
-        # Q = 0 and M = +-1: R_n = 0, and Gaussian(0) is no law to test against
-        model = {"family": "signed_unit", "p_m": 0.5, "q": {"family": "constant", "value": 0.0}}
+        # M = +-1 and Q = 1 just when M = -1: R_n stays in {0, 1}, so
+        # beta^2 = 0, and Gaussian(0) is no law to test against
+        model = {"family": "discrete_joint", "atoms": [[1.0, -1.0, 0.5], [0.0, 1.0, 0.5]]}
         code, report = run_command(tmp_path, command, model)
         assert code == 2
         assert report is None
         assert "beta2 must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"family": "discrete_joint", "atoms": [[0.0, 2.0, 0.5], [0.0, -2.0, 0.5]]},
+            {"family": "scaled_rademacher", "rho": 2.0, "p": 0.5, "q": {"family": "constant", "value": 0.0}},
+            {"family": "signed_unit", "p_m": 0.5, "q": {"family": "constant", "value": 0.0}},
+            {**LOGNORMAL_PAIR, "mu_x": 0.5, "q": {"family": "constant", "value": 0.0}},
+            {**LOGNORMAL_PAIR, "q": {"family": "constant", "value": 0.0}},
+        ],
+        ids=["discrete_joint", "scaled_rademacher", "signed_unit", "lognormal_pair", "lognormal_pair_iii"],
+    )
+    def test_q_zero_exits_two(self, tmp_path, capsys, model, command):
+        # R_n = 0 for every n: the law is refused, whatever its case would
+        # be (Case III without Q > 0 would be unsupported, exit 3)
+        code, report = run_command(tmp_path, command, model)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == "error: Q is a.s. 0, so R_n = 0 for every n and no limit law applies\n"
+
+    def test_tiny_constant_q_is_not_zero(self, tmp_path):
+        # EQ^2 underflows to 0, but Q > 0: Case II, not refused
+        model = {**LOGNORMAL_PAIR, "mu_x": 0.5, "q": {"family": "constant", "value": 1e-200}}
+        code, report = run_command(tmp_path, "classify", model)
+        assert code == 0
+        assert report["regime"]["case"] == "II-abs"
 
 
 class TestVerifyCommand:

@@ -248,7 +248,7 @@ class TestDrawsElementwise:
             return scaled_pair(model.scaled_draws(u.copy(), u.copy()))
 
         cases = [
-            (QRademacher(p).draw(u.copy())[0].scaled(), (p, 1.0)),
+            (QRademacher(p).draw(u.copy()).scaled(), (p, 1.0)),
             *zip(pair(ScaledRademacher(3.0, p, QRademacher(q_p))), [(q_p, 1.0), (p, 3.0)]),
             *zip(pair(SignedUnit(p, QRademacher(q_p))), [(q_p, 1.0), (p, 1.0)]),
             (pair(ScaledRademacher(1.7976931348623157e308, p, QConstant(1.0)))[1],

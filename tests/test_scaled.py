@@ -327,7 +327,7 @@ class TestFromLog:
     def test_log_pareto_draw_past_limit(self):
         # y = 1e-6 ** -4 = 1e24, so e**y needs the exponent 1.44e24
         with pytest.raises(ExponentOverflowError, match="beyond") as info:
-            QLogPareto(-0.25, 1.0).draw(np.array([1e-6]))[0].scaled()
+            QLogPareto(-0.25, 1.0).draw(np.array([1e-6])).scaled()
         assert info.value.index == (0,)
 
     @pytest.mark.parametrize("bad", [-1e19, 1e19, math.inf, -math.inf, math.nan])

@@ -525,38 +525,42 @@ class TestRunBatch:
                     want = math.log(w.numerator) - math.log(w.denominator)
                     assert abs(batch.w_log(t)[i] - want) <= 1e-12
 
-    def test_w_log_replay_iii_clt(self):
-        # the same diagnostic for III-clt: Q = e^Y and M = e^X mapped from the
-        # stream through ndtri, each prefix sum of X correctly rounded by fsum
-        model, q_law = CASE_III_CLT, CASE_III_CLT.q_law
-        cps, count, seed = [1, 33, 50, 144], 16, 93
+    @staticmethod
+    def replay_w(model, logs_q, cps, count, seed):
+        """W_n = max_k (Y_k + sum_{j<k} X_j) of a lognormal pair, with Y_k =
+        logs_q(Q-slot uniforms), X = ndtri of the M-slot ones, and each
+        prefix sum correctly rounded by fsum, against ``run_batch``."""
         batch = run_batch(model, cps, count, seed, track_w=True)
         for i in range(count):
             u = trajectory_uniforms(seed, i, cps[-1])
-            y = q_law.mean + math.sqrt(q_law.var) * ndtri(u[:, 0])
+            y = logs_q(u[:, 0])
             x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
             log_prod = [math.fsum(x[:k]) for k in range(cps[-1])]
             for n in cps:
                 want = max(y[k] + log_prod[k] for k in range(n))
                 assert abs(batch.w_log(n)[i] - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_w_log_replay_iii_clt(self):
+        # the same diagnostic for III-clt: Q = e^Y and M = e^X mapped from the
+        # stream through ndtri
+        q_law = CASE_III_CLT.q_law
+        self.replay_w(CASE_III_CLT, lambda u: q_law.mean + math.sqrt(q_law.var) * ndtri(u),
+                      [1, 33, 50, 144], 16, 93)
+
     def test_w_log_replay_iii_evt(self):
-        # III-evt: Y = t0 * u**(1/alpha) from the Q-slot uniform, X = ndtri(u)
-        # from the M-slot one, and W_n = max_k (Y_k + sum_{j<k} X_j) with each
-        # prefix sum correctly rounded by fsum; checkpoints inside a step pair
-        # and on both sides of the 32-step sub-blocks
+        # III-evt: Y = t0 * u**(1/alpha) from the Q-slot uniform; checkpoints
+        # inside a step pair and on both sides of the 32-step sub-blocks
         model = LogNormalPair(0.0, 1.0, QLogPareto(-1.0, 1.0))
         q_law = model.q_law
-        cps, count, seed = [1, 2, 31, 32, 33, 64, 65, 97, 144], 16, 95
-        batch = run_batch(model, cps, count, seed, track_w=True)
-        for i in range(count):
-            u = trajectory_uniforms(seed, i, cps[-1])
-            y = q_law.t0 * u[:, 0] ** (1.0 / q_law.alpha)
-            x = model.mu_x + math.sqrt(model.v2) * ndtri(u[:, 1])
-            log_prod = [math.fsum(x[:k]) for k in range(cps[-1])]
-            for n in cps:
-                want = max(y[k] + log_prod[k] for k in range(n))
-                assert abs(batch.w_log(n)[i] - want) <= 1e-12 * max(1.0, abs(want))
+        self.replay_w(model, lambda u: q_law.t0 * u ** (1.0 / q_law.alpha),
+                      [1, 2, 31, 32, 33, 64, 65, 97, 144], 16, 95)
+
+    def test_w_log_replay_iii_constant_q(self):
+        # a constant Q draws no logs: the kernel takes ln 2.5 itself, the same
+        # at every step
+        model = LogNormalPair(0.0, 1.0, QConstant(2.5))
+        self.replay_w(model, lambda u: np.full(u.shape, math.log(2.5)),
+                      [1, 2, 31, 32, 33, 64, 65, 97, 144], 16, 97)
 
     @pytest.mark.parametrize(
         "model,track_w",
@@ -579,11 +583,10 @@ class TestRunBatch:
         # one step pair's raw words, a few per-trajectory vectors, numpy's
         # cast buffers and the arrays of the trajectories the screen flags
         # (III-evt's huge Q); no (RENORM, B) slab, and nothing that grows
-        # with the horizon. A positive discrete law makes its logs, two
-        # (RENORM, B) arrays of their own, only for W, one sub-block's at a time
+        # with the horizon. W's logs are the draws themselves or are made in
+        # the arena's native-M rows, so tracking W adds no slab either
         arena = 2 * (RENORM + 2) + (RENORM + 1) + 2 * RENORM
-        logs = 2 * RENORM if track_w and isinstance(model, DiscreteJoint) else 0
-        budget = 8 * BLOCK * (arena + logs + 48)
+        budget = 8 * BLOCK * (arena + 48)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -157,9 +157,10 @@ def test_benchmark_write_spans_cover_every_sample_csv(tmp_path):
 
 
 def test_w_tracking_draws_once_per_sub_block(tmp_path):
-    # W is built from the logs that scaled_draws returns with the draws, so
-    # the benchmark's models.draws layer, which wraps scaled_draws, holds all
-    # of the draw work of a III run: one call per sub-block of each block
+    # W is built from the draws that scaled_draws returns, with no second
+    # draw, so the benchmark's models.draws layer, which wraps scaled_draws,
+    # holds all of the draw work of a III run: one call per sub-block of
+    # each block
     tracing = load_module(REPO / "perfbench" / "tracing.py")
     tracer = tracing.Tracer(tmp_path)
     saved = tracing.install(tracer)
